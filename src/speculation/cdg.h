@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "speculation/guess.h"
+#include "util/flat_map.h"
 #include "util/flat_set.h"
 
 namespace ocsp::spec {
@@ -20,7 +21,8 @@ class Cdg {
   bool has_node(const GuessId& g) const;
   void add_node(const GuessId& g);
 
-  /// Remove a resolved guess and all its edges.
+  /// Remove a resolved guess and all its edges.  O(degree): the
+  /// predecessor index names exactly the out-sets that mention `g`.
   void remove_node(const GuessId& g);
 
   /// Add edge from -> to (creating missing nodes).  If this closes a cycle,
@@ -31,7 +33,8 @@ class Cdg {
 
   bool has_edge(const GuessId& from, const GuessId& to) const;
 
-  /// Direct predecessors of g (guesses that must commit before g).
+  /// Direct predecessors of g (guesses that must commit before g), in
+  /// ascending order.
   std::vector<GuessId> predecessors(const GuessId& g) const;
 
   /// g plus all transitive successors — the set invalidated when g aborts.
@@ -42,6 +45,12 @@ class Cdg {
 
   std::vector<GuessId> nodes() const;
 
+  /// Call f(node) for every node, ascending.
+  template <typename F>
+  void for_each_node(F&& f) const {
+    for (const auto& [node, succs] : out_) f(node);
+  }
+
   std::string to_string() const;
 
  private:
@@ -50,7 +59,10 @@ class Cdg {
                  std::vector<GuessId>& path,
                  util::FlatSet<GuessId>& visited) const;
 
-  std::map<GuessId, util::FlatSet<GuessId>> out_;
+  util::FlatMap<GuessId, util::FlatSet<GuessId>> out_;
+  /// Reverse edges: in_[h] holds every g with h in out_[g].  Only nodes
+  /// with at least one predecessor have an entry.
+  util::FlatMap<GuessId, util::FlatSet<GuessId>> in_;
 };
 
 }  // namespace ocsp::spec

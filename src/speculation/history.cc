@@ -17,7 +17,7 @@ const char* to_string(GuessStatus s) {
   return "?";
 }
 
-void PeerHistory::set_status(const GuessId& g, GuessStatus status) {
+bool PeerHistory::set_status(const GuessId& g, GuessStatus status) {
   const auto key = std::pair(g.incarnation, g.index);
   auto it = entries_.find(key);
   if (it != entries_.end()) {
@@ -25,7 +25,7 @@ void PeerHistory::set_status(const GuessId& g, GuessStatus status) {
     // overwrites a final state.
     if (it->second != GuessStatus::kUnknown &&
         status == GuessStatus::kUnknown) {
-      return;
+      return false;
     }
     it->second = status;
   } else {
@@ -33,12 +33,7 @@ void PeerHistory::set_status(const GuessId& g, GuessStatus status) {
   }
   // Seeing any guess from incarnation i implies i exists; its start is at
   // most the index seen (refined further by observe_incarnation).
-  auto start = incarnation_start_.find(g.incarnation);
-  if (start == incarnation_start_.end()) {
-    incarnation_start_[g.incarnation] = g.index;
-  } else {
-    start->second = std::min(start->second, g.index);
-  }
+  return observe_incarnation(g.incarnation, g.index);
 }
 
 GuessStatus PeerHistory::status(const GuessId& g) const {
@@ -53,14 +48,13 @@ GuessStatus PeerHistory::status(const GuessId& g) const {
   return GuessStatus::kUnknown;
 }
 
-void PeerHistory::observe_incarnation(std::uint32_t inc,
+bool PeerHistory::observe_incarnation(std::uint32_t inc,
                                       std::uint32_t start_index) {
-  auto it = incarnation_start_.find(inc);
-  if (it == incarnation_start_.end()) {
-    incarnation_start_[inc] = start_index;
-  } else {
-    it->second = std::min(it->second, start_index);
-  }
+  auto [it, inserted] = incarnation_start_.try_emplace(inc, start_index);
+  if (inserted) return true;
+  if (start_index >= it->second) return false;
+  it->second = start_index;
+  return true;
 }
 
 std::uint32_t PeerHistory::latest_incarnation() const {

@@ -26,7 +26,9 @@ const char* to_string(GuessStatus s);
 class PeerHistory {
  public:
   /// Record an explicit COMMIT/ABORT (or an "unknown" from PRECEDENCE).
-  void set_status(const GuessId& g, GuessStatus status);
+  /// Returns true when the incarnation start table changed, i.e. when the
+  /// implicit-abort rule may now answer differently for other guesses.
+  bool set_status(const GuessId& g, GuessStatus status);
 
   /// Current knowledge; applies the implicit-abort rule: a guess from
   /// incarnation i with index >= start(i') for some observed i' > i is
@@ -35,7 +37,8 @@ class PeerHistory {
 
   /// Note that incarnation `inc` of the peer begins at thread index
   /// `start_index` (learned from an ABORT, which names the aborted thread).
-  void observe_incarnation(std::uint32_t inc, std::uint32_t start_index);
+  /// Returns true when the start table changed.
+  bool observe_incarnation(std::uint32_t inc, std::uint32_t start_index);
 
   /// Highest incarnation observed so far.
   std::uint32_t latest_incarnation() const;

@@ -26,7 +26,7 @@ SpeculativeProcess::SpeculativeProcess(ExecContext& runtime, ProcessId id,
   t.machine = csp::Machine(std::move(program), std::move(initial_env),
                            rng_.split());
   t.created_at = StateIndex{0, 0, 0};
-  threads_.emplace(0u, std::move(t));
+  insert_thread(std::move(t));
 }
 
 void SpeculativeProcess::start() {
@@ -148,8 +148,8 @@ SpeculativeProcess::checkpoint_envs() const {
 
 std::size_t SpeculativeProcess::live_thread_count() const {
   std::size_t n = 0;
-  for (const auto& [idx, t] : threads_) {
-    if (t.phase != ThreadCtx::Phase::kTerminated) ++n;
+  for (auto it = live_begin(); it != threads_.end(); ++it) {
+    if (it->second.phase != ThreadCtx::Phase::kTerminated) ++n;
   }
   return n;
 }
@@ -199,7 +199,7 @@ bool SpeculativeProcess::handle_effect(ThreadCtx& t, csp::Effect effect) {
     case K::kCall: {
       const std::int64_t reqid = next_reqid_++;
       t.outstanding_reqid = reqid;
-      t.phase = ThreadCtx::Phase::kAwaitReply;
+      set_phase(t, ThreadCtx::Phase::kAwaitReply);
       outstanding_calls_[reqid] = t.index;
       trace::ObservableEvent ev;
       ev.kind = trace::ObservableEvent::Kind::kSend;
@@ -225,7 +225,7 @@ bool SpeculativeProcess::handle_effect(ThreadCtx& t, csp::Effect effect) {
       return true;
     }
     case K::kReceive: {
-      t.phase = ThreadCtx::Phase::kAwaitMessage;
+      set_phase(t, ThreadCtx::Phase::kAwaitMessage);
       process_arrivals();
       return false;
     }
@@ -254,7 +254,7 @@ bool SpeculativeProcess::handle_effect(ThreadCtx& t, csp::Effect effect) {
       return true;
     }
     case K::kCompute: {
-      t.phase = ThreadCtx::Phase::kAwaitCompute;
+      set_phase(t, ThreadCtx::Phase::kAwaitCompute);
       const std::uint32_t idx = t.index;
       const sim::Time duration = effect.duration;
       runtime_.on_compute(id_, duration);
@@ -275,7 +275,7 @@ bool SpeculativeProcess::handle_effect(ThreadCtx& t, csp::Effect effect) {
             }
             recorder().record(std::move(ev));
             th.machine.resume();
-            th.phase = ThreadCtx::Phase::kRunning;
+            set_phase(th, ThreadCtx::Phase::kRunning);
             schedule_step(idx);
           });
       return false;
@@ -288,7 +288,7 @@ bool SpeculativeProcess::handle_effect(ThreadCtx& t, csp::Effect effect) {
       if (t.has_pending_join) {
         do_join(t);
       } else {
-        t.phase = ThreadCtx::Phase::kDoneWaitGuard;
+        set_phase(t, ThreadCtx::Phase::kDoneWaitGuard);
         obs::Event ev = make_event(obs::EventKind::kThreadBlocked);
         ev.thread = t.index;
         ev.interval = t.interval;
@@ -360,8 +360,11 @@ void SpeculativeProcess::record_event(ThreadCtx& t,
 
 bool SpeculativeProcess::flush_ready(const ThreadCtx& t) const {
   if (!t.guard.empty()) return false;
-  for (const auto& [idx, other] : threads_) {
+  // Threads below the retired watermark are terminated and flushed.
+  for (auto it = live_begin(); it != threads_.end(); ++it) {
+    const auto& [idx, other] = *it;
     if (idx >= t.index) break;
+    ++work_.bookkeeping_steps;
     if (other.phase != ThreadCtx::Phase::kTerminated ||
         other.flushed_count < other.event_log.size()) {
       return false;
@@ -405,8 +408,11 @@ void SpeculativeProcess::flush_logs() {
   // thread n's events all precede thread n+1's.  Stop at the first thread
   // that is not fully done — later threads' events must stay buffered even
   // when their own guard is empty (a SAFE fork's right thread runs
-  // unguarded while the left thread is still producing events).
-  for (auto& [idx, t] : threads_) {
+  // unguarded while the left thread is still producing events).  Retired
+  // threads are flushed already.
+  for (auto it = live_begin(); it != threads_.end(); ++it) {
+    ThreadCtx& t = it->second;
+    ++work_.bookkeeping_steps;
     if (!t.guard.empty()) break;
     flush_events(t);
     if (t.phase != ThreadCtx::Phase::kTerminated) break;
@@ -415,9 +421,13 @@ void SpeculativeProcess::flush_logs() {
 
 void SpeculativeProcess::check_completion() {
   if (completed_) return;
-  for (auto& [idx, t] : threads_) {
-    if (t.phase == ThreadCtx::Phase::kDoneWaitGuard && t.guard.empty()) {
-      t.phase = ThreadCtx::Phase::kTerminated;
+  const std::vector<std::uint32_t> done(done_waiting_.begin(),
+                                        done_waiting_.end());
+  for (const std::uint32_t idx : done) {
+    ++work_.bookkeeping_steps;
+    ThreadCtx& t = threads_.at(idx);
+    if (t.guard.empty()) {
+      set_phase(t, ThreadCtx::Phase::kTerminated);
       program_finished_ = true;
       obs::Event ev = make_event(obs::EventKind::kThreadResolved);
       ev.thread = t.index;
@@ -430,8 +440,9 @@ void SpeculativeProcess::check_completion() {
   // Under speculation that is already true (join guesses committed, which
   // is what emptied the final thread's guard), but a SAFE fork's left
   // thread may still be running S1 and joins later.
-  for (const auto& [idx, t] : threads_) {
-    if (t.phase != ThreadCtx::Phase::kTerminated) return;
+  for (auto it = live_begin(); it != threads_.end(); ++it) {
+    ++work_.bookkeeping_steps;
+    if (it->second.phase != ThreadCtx::Phase::kTerminated) return;
   }
   completed_ = true;
   completion_time_ = runtime_.scheduler().now();
@@ -473,7 +484,7 @@ void SpeculativeProcess::take_checkpoint(const ThreadCtx& t) {
     ev.b = deep ? 0 : payload;
     recorder().record(std::move(ev));
   }
-  checkpoints_.insert_or_assign(current_index(t), std::move(snapshot));
+  put_checkpoint(current_index(t), std::move(snapshot));
 }
 
 }  // namespace ocsp::spec

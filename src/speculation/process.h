@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -46,9 +45,11 @@
 #include "speculation/history.h"
 #include "speculation/messages.h"
 #include "speculation/predictor.h"
+#include "speculation/rollback_index.h"
 #include "speculation/stats.h"
 #include "trace/events.h"
 #include "trace/timeline.h"
+#include "util/flat_map.h"
 #include "util/rng.h"
 
 namespace ocsp::exec {
@@ -79,7 +80,7 @@ struct ThreadCtx {
 
   GuardSet guard;
   Cdg cdg;
-  std::map<GuessId, StateIndex> rollbacks;
+  util::FlatMap<GuessId, StateIndex> rollbacks;
 
   /// Guess guarding this thread's start (right threads only).
   bool has_own_guess = false;
@@ -169,6 +170,8 @@ class SpeculativeProcess {
   sim::Time completion_time() const { return completion_time_; }
 
   const SpecStats& stats() const { return stats_; }
+  /// Deterministic cost of the bookkeeping loops (not behaviour).
+  const WorkCounters& work() const { return work_; }
   const HistoryTable& history() const { return history_; }
   const PredictorState& predictors() const { return predictors_; }
 
@@ -260,6 +263,10 @@ class SpeculativeProcess {
   void commit_guess_local(const GuessId& g);
   void abort_guess_local(const GuessId& g);
   void abort_own_guess(const GuessId& g, const char* reason);
+  /// Forget the holders of `g` that no longer hold it.
+  void scrub_holders(const GuessId& g);
+  /// Remove and return the holders of `g`, ascending and distinct.
+  std::vector<std::uint32_t> take_holders(const GuessId& g);
   void after_guard_change();
   /// Roll back every thread depending on a history-aborted guess to a
   /// fixpoint (the body of abort_guess_local, also run after incarnation
@@ -321,7 +328,82 @@ class SpeculativeProcess {
   void replay_feed(ThreadCtx& t, const LoggedInput& entry);
 
   // ---- bookkeeping ---------------------------------------------------------
+  //
+  // Every per-event scan below touches only live state: threads at or
+  // above the retired watermark, the rollback-point index instead of every
+  // thread's rollback map, the threads holding a guess instead of every
+  // thread, and the per-thread ledger instead of every retained checkpoint
+  // and logged input.  DESIGN.md "Bookkeeping cost" lists each scan's old
+  // and new complexity; verify_bookkeeping() recomputes the indexes by
+  // brute force in debug builds.
   StateIndex current_index(const ThreadCtx& t) const;
+
+  /// History updates go through these two so that the rollback index and
+  /// the arrival scan learn which guesses resolved.
+  void set_guess_status(const GuessId& g, GuessStatus status);
+  void note_incarnation(ProcessId owner, std::uint32_t inc,
+                        std::uint32_t start);
+  /// Incarnation `inc` of `owner` now starts at or below `start`.
+  void incarnation_start_moved(ProcessId owner, std::uint32_t inc,
+                               std::uint32_t start);
+
+  /// Thread table updates: every insertion or replacement, removal and
+  /// phase change goes through these, which keep the phase sets, the
+  /// holder map, the rollback index and the retired watermark in step.
+  ThreadCtx& insert_thread(ThreadCtx t);
+  void erase_thread(std::map<std::uint32_t, ThreadCtx>::iterator it);
+  void set_phase(ThreadCtx& t, ThreadCtx::Phase phase);
+  /// `t` (a live thread) now depends on `g`, restored to `rb` on abort.
+  void add_dependency(ThreadCtx& t, const GuessId& g, const StateIndex& rb);
+  /// Record that thread `index` may hold `g` in its guard, CDG or
+  /// rollback map (commit and abort scrub only those threads).
+  void note_holder(const GuessId& g, std::uint32_t index);
+  void note_holdings(const ThreadCtx& t);
+  /// First thread at or above the retired watermark.
+  std::map<std::uint32_t, ThreadCtx>::iterator live_begin() {
+    return threads_.lower_bound(retired_below_);
+  }
+  std::map<std::uint32_t, ThreadCtx>::const_iterator live_begin() const {
+    return threads_.lower_bound(retired_below_);
+  }
+  /// Terminated, fully flushed, and holding no guard, CDG node or rollback
+  /// entry: nothing a scan looks for, and nothing can change that short of
+  /// replacing the thread (which lowers the watermark again).
+  static bool retirable(const ThreadCtx& t);
+  void advance_retired();
+  /// Rebuild the rollback index from the live threads' maps after a kill
+  /// or restore removed pairs the index cannot attribute.
+  void refresh_rollback_index() const;
+
+  // ---- retained state (checkpoints, replay metadata, input log) -----------
+  void put_checkpoint(const StateIndex& key, ThreadCtx snapshot);
+  void erase_checkpoint(StateIndex key);
+  void log_input(const StateIndex& at, const StateIndex& pre,
+                 const net::Envelope& env);
+  /// Erase every retained entry of thread `thread` with key below `bound`
+  /// (all of them when `bound` is null), counting pruned checkpoints and
+  /// log entries.
+  void prune_thread_state(std::uint32_t thread, const StateIndex* bound);
+  /// The checkpoint restore_thread would rebuild `target` from: the exact
+  /// entry, or the nearest earlier checkpoint of the same thread.
+  const StateIndex* restore_base_key(const StateIndex& target) const;
+  /// Latest checkpoint of `thread` at or below `bound` (any when null).
+  const StateIndex* latest_checkpoint(std::uint32_t thread,
+                                      const StateIndex* bound) const;
+
+  // ---- arrival scan ----------------------------------------------------------
+  /// Queue `env` behind every pending message, or (a requeue after a
+  /// rollback) ahead of them.
+  void queue_pending(const net::Envelope& env, bool front);
+  void erase_pending(std::map<std::int64_t, net::Envelope>::iterator it);
+  bool orphan(const net::Envelope& env) const;
+  /// Would try_deliver consume `env` right now?  Side-effect free.
+  bool deliverable(const net::Envelope& env) const;
+
+  /// Debug builds: recompute the indexes and the GC outcome by brute force
+  /// and check them against the incremental state.
+  void verify_bookkeeping() const;
+  void verify_arrivals() const;
   /// Discard checkpoints, replay metadata, and logged inputs that no
   /// possible future rollback can reach (everything strictly before the
   /// earliest rollback point of any still-unresolved dependency).  Keeps a
@@ -403,15 +485,30 @@ class SpeculativeProcess {
   std::map<std::int64_t, std::uint32_t> outstanding_calls_;
   std::int64_t next_reqid_ = 1;
 
-  /// Messages accepted but not yet deliverable (no eligible waiting thread).
-  std::deque<net::Envelope> pending_;
+  /// Messages accepted but not yet deliverable (no eligible waiting thread),
+  /// keyed by queue position: requeued messages take keys below the front,
+  /// arrivals keys above the back.
+  std::map<std::int64_t, net::Envelope> pending_;
+  std::int64_t pending_front_ = 0;
+  std::int64_t pending_back_ = 0;
+  /// Keys of the pending returns (the other pending messages are requests
+  /// and sends, which only a thread blocked in Receive can take).
+  std::set<std::int64_t> pending_returns_;
+  /// Keys queued since the last orphan check.
+  std::vector<std::int64_t> pending_unchecked_;
+  /// Bumped by every history change that may flip whether some guess is
+  /// aborted; the arrival scan re-runs the orphan test when it moved.
+  std::uint64_t history_epoch_ = 0;
+  std::uint64_t orphan_checked_epoch_ = 0;
 
   struct LoggedInput {
     StateIndex at;   ///< receiving thread's state index after acceptance
     StateIndex pre;  ///< state index just before acceptance (rollback point)
     net::Envelope env;
   };  // (declared above for replay_feed)
-  std::vector<LoggedInput> input_log_;
+  /// Logged inputs in acceptance order (sequence number -> entry).
+  std::map<std::uint64_t, LoggedInput> input_log_;
+  std::uint64_t next_input_seq_ = 0;
 
   std::map<StateIndex, ThreadCtx> checkpoints_;
 
@@ -424,6 +521,44 @@ class SpeculativeProcess {
   };
   std::map<StateIndex, ReplayMeta> replay_meta_;
   bool replaying_ = false;
+
+  /// Per-thread view of checkpoints_, replay_meta_ and input_log_, ordered
+  /// by state index, so GC, rollback purges, requeues and replays touch one
+  /// thread's entries without walking the others'.
+  struct LedgerEntry {
+    bool checkpoint = false;
+    bool meta = false;
+    bool input = false;
+    std::uint64_t input_seq = 0;
+  };
+  struct ThreadLedger {
+    std::map<StateIndex, LedgerEntry> entries;
+    std::set<StateIndex> checkpoints;
+  };
+  std::map<std::uint32_t, ThreadLedger> ledger_;
+  /// (smallest key, thread) of every ledger with two or more keys: the
+  /// only threads whose entries GC can prune below a kept checkpoint.
+  std::set<std::pair<StateIndex, std::uint32_t>> ledger_heads_;
+  void ledger_set(const StateIndex& key, bool LedgerEntry::*flag, bool on,
+                  std::uint64_t seq = 0);
+  /// Threads that died (terminated or killed) and may still own retained
+  /// state; GC drops it once no unresolved rollback targets them.
+  std::set<std::uint32_t> dead_candidates_;
+
+  /// Union of the live threads' (unresolved guess -> rollback point) pairs.
+  mutable RollbackIndex rollback_index_;
+  mutable bool rollback_index_stale_ = false;
+  /// guess -> threads that may hold it in guard, CDG or rollback map
+  /// (append-only between scrubs; may repeat an index).
+  std::map<GuessId, std::vector<std::uint32_t>> holders_;
+  /// Every thread below this index is retirable().
+  std::uint32_t retired_below_ = 0;
+  /// Threads by phase, for the phases scans look for.
+  std::set<std::uint32_t> awaiting_message_;
+  std::set<std::uint32_t> join_waiting_;
+  std::set<std::uint32_t> done_waiting_;
+
+  mutable WorkCounters work_;
 
   /// The aborted guess whose processing is currently driving rollbacks;
   /// threaded into kWorkDiscarded / cascade kAbort events so attribution

@@ -1,11 +1,13 @@
 // Message arrival and receive processing (sections 4.2.3 and 4.2.4).
 //
 // Arriving data messages sit in a pending queue until a thread can accept
-// them.  Each delivery attempt re-checks the orphan test (a queued message
-// may become an orphan when an abort lands), enforces the future-thread
-// rule, and picks the waiting thread that acquires the fewest new
-// dependencies.  Accepting a message that introduces new dependencies
-// checkpoints the thread first and starts a new interval.
+// them.  The queue is re-checked against the orphan test whenever the
+// history changes in a way that can turn a message into an orphan (an abort
+// lands), delivery enforces the future-thread rule and picks the waiting
+// thread that acquires the fewest new dependencies, and the lowest-position
+// deliverable message always goes first.  Accepting a message that
+// introduces new dependencies checkpoints the thread first and starts a
+// new interval.
 #include "speculation/process.h"
 #include "speculation/runtime.h"
 #include "util/check.h"
@@ -52,7 +54,7 @@ void SpeculativeProcess::on_message(const net::Envelope& env) {
     after_guard_change();
     return;
   }
-  pending_.push_back(env);
+  queue_pending(env, /*front=*/false);
   process_arrivals();
 }
 
@@ -84,40 +86,136 @@ void SpeculativeProcess::forward_control(ControlKind kind,
   }
 }
 
+void SpeculativeProcess::queue_pending(const net::Envelope& env, bool front) {
+  const std::int64_t key = front ? --pending_front_ : pending_back_++;
+  pending_.emplace(key, env);
+  if (std::static_pointer_cast<const DataMessage>(env.payload)->data_kind ==
+      DataKind::kReturn) {
+    pending_returns_.insert(key);
+  }
+  pending_unchecked_.push_back(key);
+}
+
+void SpeculativeProcess::erase_pending(
+    std::map<std::int64_t, net::Envelope>::iterator it) {
+  pending_returns_.erase(it->first);
+  pending_.erase(it);
+}
+
+bool SpeculativeProcess::orphan(const net::Envelope& env) const {
+  const auto msg = std::static_pointer_cast<const DataMessage>(env.payload);
+  return history_.any_aborted(msg->guard);
+}
+
+bool SpeculativeProcess::deliverable(const net::Envelope& env) const {
+  const auto msg = std::static_pointer_cast<const DataMessage>(env.payload);
+  if (msg->data_kind == DataKind::kReturn) {
+    auto call_it = outstanding_calls_.find(msg->reqid);
+    if (call_it == outstanding_calls_.end()) return true;  // stale: dropped
+    auto th = threads_.find(call_it->second);
+    OCSP_CHECK_MSG(th != threads_.end(), "outstanding call without thread");
+    return th->second.phase == ThreadCtx::Phase::kAwaitReply &&
+           th->second.outstanding_reqid == msg->reqid;
+  }
+  // A request or send needs a thread blocked in Receive that does not
+  // logically precede one of our own guesses the message depends on.
+  if (awaiting_message_.empty()) return false;
+  const GuessId own_in_tag = msg->guard.for_owner(id_);
+  return !own_in_tag.valid() || own_in_tag.incarnation != incarnation_ ||
+         *awaiting_message_.rbegin() >= own_in_tag.index;
+}
+
 void SpeculativeProcess::process_arrivals() {
   // Delivery can trigger aborts and rollbacks that requeue messages and
   // call back into this function; the guard makes the nested call a no-op
-  // (the outer loop rescans anyway).
+  // (the outer loop picks the requeued messages up).
   if (in_process_arrivals_) return;
   in_process_arrivals_ = true;
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-      const net::Envelope env = pending_[i];  // copy: delivery mutates
-      const auto msg =
-          std::static_pointer_cast<const DataMessage>(env.payload);
-      // Orphan test (4.2.3): discard messages from aborted computations.
-      if (history_.any_aborted(msg->guard)) {
-        ++stats_.orphans_discarded;
-        OCSP_DLOG << name_ << ": orphan discarded " << msg->describe();
-        pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-        progressed = true;
-        break;  // indices shifted; rescan
+  for (;;) {
+    // Orphan test (4.2.3): discard messages from aborted computations.  A
+    // message already checked stays clean until the history moves.
+    auto discard_if_orphan = [&](std::map<std::int64_t,
+                                          net::Envelope>::iterator it) {
+      ++work_.bookkeeping_steps;
+      if (!orphan(it->second)) return;
+      ++stats_.orphans_discarded;
+      OCSP_DLOG << name_ << ": orphan discarded "
+                << std::static_pointer_cast<const DataMessage>(
+                       it->second.payload)
+                       ->describe();
+      erase_pending(it);
+    };
+    if (orphan_checked_epoch_ != history_epoch_) {
+      orphan_checked_epoch_ = history_epoch_;
+      pending_unchecked_.clear();
+      for (auto it = pending_.begin(); it != pending_.end();) {
+        auto next = std::next(it);
+        discard_if_orphan(it);
+        it = next;
       }
-      // Remove before delivering: try_deliver may abort/roll back, which
-      // requeues other messages and would invalidate any saved position.
-      pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-      if (try_deliver(env)) {
-        progressed = true;
+    } else if (!pending_unchecked_.empty()) {
+      std::vector<std::int64_t> keys;
+      keys.swap(pending_unchecked_);
+      for (const std::int64_t key : keys) {
+        if (auto it = pending_.find(key); it != pending_.end()) {
+          discard_if_orphan(it);
+        }
+      }
+    }
+
+    // The lowest-position deliverable message goes first.  Returns and
+    // requests are found separately: a request can only go to a thread
+    // blocked in Receive, so without one none is examined.
+    auto pick = pending_.end();
+    for (const std::int64_t key : pending_returns_) {
+      ++work_.bookkeeping_steps;
+      auto it = pending_.find(key);
+      if (deliverable(it->second)) {
+        pick = it;
         break;
       }
-      // Not deliverable right now; put it back where it was (try_deliver
-      // without a delivery does not mutate the queue).
-      pending_.insert(pending_.begin() + static_cast<std::ptrdiff_t>(i), env);
+      ++work_.pending_rescans;
     }
+    if (!awaiting_message_.empty()) {
+      for (auto it = pending_.begin();
+           it != pending_.end() && (pick == pending_.end() ||
+                                    it->first < pick->first);
+           ++it) {
+        if (pending_returns_.count(it->first) > 0) continue;
+        ++work_.bookkeeping_steps;
+        if (deliverable(it->second)) {
+          pick = it;
+          break;
+        }
+        ++work_.pending_rescans;
+      }
+    }
+    if (pick == pending_.end()) break;
+    const net::Envelope env = pick->second;  // copy: delivery mutates
+    erase_pending(pick);
+    const bool consumed = try_deliver(env);
+    OCSP_CHECK_MSG(consumed, "deliverable message was not consumed");
   }
   in_process_arrivals_ = false;
+#ifndef NDEBUG
+  verify_arrivals();
+#endif
+}
+
+void SpeculativeProcess::verify_arrivals() const {
+  // After a scan nothing pending is an orphan or deliverable (the state a
+  // rescan of the whole queue would reach), and the return index matches.
+  std::size_t returns = 0;
+  for (const auto& [key, env] : pending_) {
+    OCSP_CHECK_MSG(!orphan(env), "orphan left pending");
+    OCSP_CHECK_MSG(!deliverable(env), "deliverable message left pending");
+    if (std::static_pointer_cast<const DataMessage>(env.payload)->data_kind ==
+        DataKind::kReturn) {
+      ++returns;
+      OCSP_CHECK(pending_returns_.count(key) == 1);
+    }
+  }
+  OCSP_CHECK(returns == pending_returns_.size());
 }
 
 bool SpeculativeProcess::try_deliver(const net::Envelope& env) {
@@ -161,7 +259,7 @@ bool SpeculativeProcess::try_deliver(const net::Envelope& env) {
     }
     accept_message(t, env);
     t.machine.resume_with_value(msg->result);
-    t.phase = ThreadCtx::Phase::kRunning;
+    set_phase(t, ThreadCtx::Phase::kRunning);
     t.outstanding_reqid = -1;
     outstanding_calls_.erase(msg->reqid);
     trace::ObservableEvent ev;
@@ -178,8 +276,9 @@ bool SpeculativeProcess::try_deliver(const net::Envelope& env) {
   // threads must not logically precede a guess the message depends on.
   ThreadCtx* best = nullptr;
   std::size_t best_new_deps = 0;
-  for (auto& [idx, t] : threads_) {
-    if (t.phase != ThreadCtx::Phase::kAwaitMessage) continue;
+  for (const std::uint32_t idx : awaiting_message_) {
+    ++work_.bookkeeping_steps;
+    ThreadCtx& t = threads_.at(idx);
     if (own_in_tag.valid() && own_in_tag.incarnation == incarnation_ &&
         idx < own_in_tag.index) {
       continue;  // would make our own guess depend on itself
@@ -204,7 +303,7 @@ bool SpeculativeProcess::try_deliver(const net::Envelope& env) {
   t.machine.deliver(msg->op, msg->args, static_cast<std::int64_t>(env.src),
                     msg->reqid,
                     /*is_call=*/msg->data_kind == DataKind::kCall);
-  t.phase = ThreadCtx::Phase::kRunning;
+  set_phase(t, ThreadCtx::Phase::kRunning);
   trace::ObservableEvent ev;
   ev.kind = trace::ObservableEvent::Kind::kReceive;
   ev.process = id_;
@@ -244,21 +343,22 @@ void SpeculativeProcess::accept_message(ThreadCtx& t,
     } else {
       replay_meta_[rollback_point] =
           ReplayMeta{t.sent_count, t.flushed_count, t.outstanding_reqid};
+      ledger_set(rollback_point, &LedgerEntry::meta, true);
     }
   }
   ++t.interval;
   for (const auto& g : newguards) {
     t.guard.add(g);
     t.cdg.add_node(g);
-    t.rollbacks[g] = rollback_point;
-    history_.peer(g.owner).set_status(g, GuessStatus::kUnknown);
+    add_dependency(t, g, rollback_point);
+    set_guess_status(g, GuessStatus::kUnknown);
   }
   if (!newguards.empty()) {
     obs::speculation_depth_hist(live_metrics_)
         .add(static_cast<double>(t.guard.size()));
   }
 
-  input_log_.push_back(LoggedInput{current_index(t), rollback_point, env});
+  log_input(current_index(t), rollback_point, env);
   timeline().record({trace::TimelineEntry::Kind::kMsgDeliver,
                      env.delivered_at, id_, env.src, msg->describe()});
 }

@@ -85,11 +85,15 @@ void SpeculativeProcess::commit_guess_local(const GuessId& g) {
   while (!queue.empty()) {
     GuessId h = queue.back();
     queue.pop_back();
-    if (history_.status(h) == GuessStatus::kCommitted) {
-      // Already processed — but still scrub any lingering CDG/guard entry.
-    }
-    history_.peer(h.owner).set_status(h, GuessStatus::kCommitted);
-    for (auto& [idx, t] : threads_) {
+    // Already-committed guesses are processed again: that still scrubs any
+    // lingering CDG/guard entry.
+    set_guess_status(h, GuessStatus::kCommitted);
+    // Only threads that may hold h have anything to scrub.
+    for (const std::uint32_t idx : take_holders(h)) {
+      ++work_.bookkeeping_steps;
+      auto it = threads_.find(idx);
+      if (it == threads_.end()) continue;
+      ThreadCtx& t = it->second;
       if (t.cdg.has_node(h)) {
         // Predecessors of a committed guess must have committed too: a
         // guess only commits after everything in its guard resolved.
@@ -100,6 +104,19 @@ void SpeculativeProcess::commit_guess_local(const GuessId& g) {
       }
       t.guard.erase(h);
       t.rollbacks.erase(h);
+    }
+  }
+}
+
+void SpeculativeProcess::scrub_holders(const GuessId& g) {
+  // Keep only the threads that still hold g.
+  for (const std::uint32_t idx : take_holders(g)) {
+    ++work_.bookkeeping_steps;
+    auto th = threads_.find(idx);
+    if (th != threads_.end() &&
+        (th->second.guard.contains(g) || th->second.cdg.has_node(g) ||
+         th->second.rollbacks.count(g) > 0)) {
+      holders_[g].push_back(idx);
     }
   }
 }
@@ -120,10 +137,10 @@ void SpeculativeProcess::abort_guess_local(const GuessId& g) {
   // damage of `g`; stamp the cause so attribution can walk it back.
   const GuessId saved_cause = rollback_cause_;
   rollback_cause_ = g;
-  history_.peer(g.owner).set_status(g, GuessStatus::kAborted);
+  set_guess_status(g, GuessStatus::kAborted);
   // The abort of x_{i,n} starts incarnation i+1 at index n: every guess
   // x_{i,m} with m >= n is implicitly aborted (4.1.2).
-  history_.peer(g.owner).observe_incarnation(g.incarnation + 1, g.index);
+  note_incarnation(g.owner, g.incarnation + 1, g.index);
 
   timeline().record({trace::TimelineEntry::Kind::kAbort,
                      runtime_.scheduler().now(), id_, kNoProcess,
@@ -131,7 +148,15 @@ void SpeculativeProcess::abort_guess_local(const GuessId& g) {
 
   rollback_aborted_dependencies();
   // Scrub CDG nodes of the aborted guess from untouched threads.
-  for (auto& [idx, t] : threads_) t.cdg.remove_node(g);
+  if (auto held = holders_.find(g); held != holders_.end()) {
+    for (const std::uint32_t idx : held->second) {
+      ++work_.bookkeeping_steps;
+      if (auto it = threads_.find(idx); it != threads_.end()) {
+        it->second.cdg.remove_node(g);
+      }
+    }
+    scrub_holders(g);
+  }
   rollback_cause_ = saved_cause;
 }
 
@@ -145,7 +170,10 @@ void SpeculativeProcess::rollback_aborted_dependencies() {
     OCSP_CHECK_MSG(pass < 1024, "abort rollback did not converge");
     bool found = false;
     StateIndex target{};
-    for (auto& [idx, t] : threads_) {
+    // Retired threads hold no rollback entries.
+    for (auto it = live_begin(); it != threads_.end(); ++it) {
+      ThreadCtx& t = it->second;
+      ++work_.bookkeeping_steps;
       std::vector<GuessId> abortset;
       // Walk the full acquisition record, not just the guard set: the
       // one-guess-per-owner subsumption (4.1.5) may have replaced an
@@ -185,8 +213,8 @@ void SpeculativeProcess::abort_own_guess(const GuessId& g,
                                          const char* reason) {
   if (history_.status(g) != GuessStatus::kUnknown) return;
   OCSP_CHECK(g.owner == id_);
-  history_.peer(id_).set_status(g, GuessStatus::kAborted);
-  history_.peer(id_).observe_incarnation(g.incarnation + 1, g.index);
+  set_guess_status(g, GuessStatus::kAborted);
+  note_incarnation(id_, g.incarnation + 1, g.index);
   timeline().record({trace::TimelineEntry::Kind::kAbort,
                      runtime_.scheduler().now(), id_, kNoProcess,
                      g.to_string() + std::string(" (") + reason + ")"});
@@ -208,8 +236,9 @@ void SpeculativeProcess::abort_own_guess(const GuessId& g,
   rollback_cause_ = g;
   std::vector<GuessId> cascade;
   std::vector<std::uint32_t> doomed;
-  for (auto& [idx, t] : threads_) {
-    if (idx >= g.index) doomed.push_back(idx);
+  for (auto it = threads_.lower_bound(g.index); it != threads_.end(); ++it) {
+    ++work_.bookkeeping_steps;
+    doomed.push_back(it->first);
   }
   for (auto it = doomed.rbegin(); it != doomed.rend(); ++it) {
     kill_thread(*it, cascade);
@@ -225,8 +254,8 @@ void SpeculativeProcess::abort_own_guess(const GuessId& g,
   for (const auto& c : cascade) {
     if (c == g) continue;
     if (history_.status(c) == GuessStatus::kUnknown) {
-      history_.peer(id_).set_status(c, GuessStatus::kAborted);
-      history_.peer(id_).observe_incarnation(c.incarnation + 1, c.index);
+      set_guess_status(c, GuessStatus::kAborted);
+      note_incarnation(id_, c.incarnation + 1, c.index);
       ++stats_.aborts_cascade;
       ++cascaded;
       record_abort(c, obs::AbortReason::kCascade, "killed-with-thread", g);
@@ -245,7 +274,9 @@ void SpeculativeProcess::abort_own_guess(const GuessId& g,
 
   // Mark the parent join so the left thread re-executes S2 when it
   // completes; if it is already waiting at the join, re-execute now.
-  for (auto& [idx, t] : threads_) {
+  for (auto it = live_begin(); it != threads_.end(); ++it) {
+    ThreadCtx& t = it->second;
+    ++work_.bookkeeping_steps;
     if (t.has_pending_join && t.join_guess == g) {
       t.join_guess_aborted = true;
       cancel_fork_timer(g);
@@ -299,7 +330,7 @@ void SpeculativeProcess::kill_thread(std::uint32_t index,
       external_buffered_at_.erase({t.index, i});
     }
   }
-  threads_.erase(it);
+  erase_thread(it);
 }
 
 void SpeculativeProcess::rollback_to(const StateIndex& target,
@@ -319,6 +350,7 @@ void SpeculativeProcess::rollback_to(const StateIndex& target,
   // itself is restored (or killed too, for an own-guess abort at creation).
   std::vector<std::uint32_t> doomed;
   for (auto& [idx, t] : threads_) {
+    ++work_.bookkeeping_steps;
     if (t.created_at > target) {
       doomed.push_back(idx);
     } else if (idx == target.thread) {
@@ -331,19 +363,31 @@ void SpeculativeProcess::rollback_to(const StateIndex& target,
   // up.  Threads that survive (forked before the restore point) keep
   // theirs.  The post-rollback re-execution records fresh state under the
   // bumped incarnation, created after this purge.
-  auto abandoned = [&](const StateIndex& key) {
-    if (!(target < key)) return false;
-    if (key.thread == target.thread) return true;
-    return std::find(doomed.begin(), doomed.end(), key.thread) !=
-           doomed.end();
-  };
-  for (auto it = checkpoints_.upper_bound(target);
-       it != checkpoints_.end();) {
-    it = abandoned(it->first) ? checkpoints_.erase(it) : std::next(it);
+  std::vector<std::uint32_t> rolled_back = doomed;
+  if (std::find(doomed.begin(), doomed.end(), target.thread) == doomed.end()) {
+    rolled_back.push_back(target.thread);
   }
-  for (auto it = replay_meta_.upper_bound(target);
-       it != replay_meta_.end();) {
-    it = abandoned(it->first) ? replay_meta_.erase(it) : std::next(it);
+  // Keys of `thread`'s retained entries strictly after the target.
+  auto abandoned_keys = [&](std::uint32_t thread) {
+    std::vector<StateIndex> keys;
+    auto led = ledger_.find(thread);
+    if (led == ledger_.end()) return keys;
+    for (auto it = led->second.entries.upper_bound(target);
+         it != led->second.entries.end(); ++it) {
+      ++work_.bookkeeping_steps;
+      keys.push_back(it->first);
+    }
+    return keys;
+  };
+  for (const std::uint32_t thread : rolled_back) {
+    for (const StateIndex& key : abandoned_keys(thread)) {
+      const LedgerEntry e = ledger_.at(thread).entries.at(key);
+      if (e.checkpoint) erase_checkpoint(key);
+      if (e.meta) {
+        replay_meta_.erase(key);
+        ledger_set(key, &LedgerEntry::meta, false);
+      }
+    }
   }
   // The rollback target is restored from a checkpoint, not killed outright:
   // its discarded compute is whatever it accumulated beyond what the
@@ -368,6 +412,7 @@ void SpeculativeProcess::rollback_to(const StateIndex& target,
     kill_thread(*it, cascade, /*emit_discard=*/!is_target);
   }
   if (!doomed.empty()) ++incarnation_;
+  rollback_index_stale_ = true;
 
   if (!kill_target_thread) {
     restore_thread(target);
@@ -388,8 +433,8 @@ void SpeculativeProcess::rollback_to(const StateIndex& target,
   std::uint64_t cascaded = 0;
   for (const auto& c : cascade) {
     if (history_.status(c) == GuessStatus::kUnknown) {
-      history_.peer(id_).set_status(c, GuessStatus::kAborted);
-      history_.peer(id_).observe_incarnation(c.incarnation + 1, c.index);
+      set_guess_status(c, GuessStatus::kAborted);
+      note_incarnation(id_, c.incarnation + 1, c.index);
       ++stats_.aborts_cascade;
       ++cascaded;
       record_abort(c, obs::AbortReason::kCascade, "killed-by-rollback",
@@ -400,7 +445,9 @@ void SpeculativeProcess::rollback_to(const StateIndex& target,
   obs::abort_cascade_depth_hist(live_metrics_)
       .add(static_cast<double>(cascaded));
   // Parents whose speculative child died must re-execute S2 at their join.
-  for (auto& [idx, t] : threads_) {
+  for (auto it = live_begin(); it != threads_.end(); ++it) {
+    ThreadCtx& t = it->second;
+    ++work_.bookkeeping_steps;
     if (!t.has_pending_join || t.join_guess_aborted) continue;
     if (!t.join_guess.valid()) continue;
     if (history_.status(t.join_guess) == GuessStatus::kAborted) {
@@ -414,25 +461,27 @@ void SpeculativeProcess::rollback_to(const StateIndex& target,
   }
 
   // Requeue inputs consumed after the restore point (Figure 5); the orphan
-  // filter runs again when they are re-delivered.
-  std::vector<LoggedInput> kept;
-  kept.reserve(input_log_.size());
-  std::deque<net::Envelope> requeued;
-  for (auto& entry : input_log_) {
-    // Only the rolled-back threads' consumptions are undone; messages a
-    // surviving thread consumed stay consumed.
-    const bool undone = target < entry.at &&
-                        (entry.at.thread == target.thread ||
-                         std::find(doomed.begin(), doomed.end(),
-                                   entry.at.thread) != doomed.end());
-    if (undone) {
-      requeued.push_back(entry.env);
-      ++stats_.messages_redelivered;
-    } else {
-      kept.push_back(std::move(entry));
+  // filter runs again when they are re-delivered.  Only the rolled-back
+  // threads' consumptions are undone; messages a surviving thread consumed
+  // stay consumed.  Requeue in acceptance order.
+  std::vector<std::uint64_t> undone;
+  for (const std::uint32_t thread : rolled_back) {
+    for (const StateIndex& key : abandoned_keys(thread)) {
+      const LedgerEntry& e = ledger_.at(thread).entries.at(key);
+      if (!e.input) continue;
+      undone.push_back(e.input_seq);
+      ledger_set(key, &LedgerEntry::input, false);
     }
   }
-  input_log_ = std::move(kept);
+  std::sort(undone.begin(), undone.end());
+  std::vector<net::Envelope> requeued;
+  requeued.reserve(undone.size());
+  for (const std::uint64_t seq : undone) {
+    auto entry = input_log_.find(seq);
+    requeued.push_back(std::move(entry->second.env));
+    input_log_.erase(entry);
+    ++stats_.messages_redelivered;
+  }
   {
     obs::Event ev = make_event(obs::EventKind::kRollback);
     ev.thread = target.thread;
@@ -445,7 +494,7 @@ void SpeculativeProcess::rollback_to(const StateIndex& target,
         .add(static_cast<double>(pre_interval - target.interval));
   }
   for (auto it = requeued.rbegin(); it != requeued.rend(); ++it) {
-    pending_.push_front(*it);
+    queue_pending(*it, /*front=*/true);
   }
 
   process_arrivals();
@@ -467,15 +516,20 @@ ThreadCtx SpeculativeProcess::rebuild_by_replay(const StateIndex& base,
   const ReplayMeta meta = meta_it->second;
 
   replaying_ = true;
-  for (const auto& entry : input_log_) {
-    if (entry.at.thread != target.thread) continue;
-    if (!(base < entry.at) || target < entry.at) continue;
-    // A periodic (mid-wait) checkpoint base starts out already blocked at
-    // the receive/reply the first logged entry answers.
-    if (t.machine.state() == csp::MachineState::kReady) {
-      replay_until_blocked(t);
+  // The thread's inputs in (base, target], in acceptance order (a thread's
+  // state indexes grow with its acceptances).
+  if (auto led = ledger_.find(target.thread); led != ledger_.end()) {
+    for (auto it = led->second.entries.upper_bound(base);
+         it != led->second.entries.end() && !(target < it->first); ++it) {
+      ++work_.bookkeeping_steps;
+      if (!it->second.input) continue;
+      // A periodic (mid-wait) checkpoint base starts out already blocked
+      // at the receive/reply the first logged entry answers.
+      if (t.machine.state() == csp::MachineState::kReady) {
+        replay_until_blocked(t);
+      }
+      replay_feed(t, input_log_.at(it->second.input_seq));
     }
-    replay_feed(t, entry);
   }
   if (t.machine.state() == csp::MachineState::kReady) {
     replay_until_blocked(t);
@@ -618,19 +672,9 @@ void SpeculativeProcess::restore_thread(const StateIndex& target) {
     // or a post-fork snapshot) and replay the logged inputs on top of it.
     OCSP_CHECK_MSG(config_.rollback == RollbackStrategy::kReplayFromLog,
                    "missing rollback checkpoint");
-    StateIndex base{};
-    bool found = false;
-    for (auto it = checkpoints_.upper_bound(target);
-         it != checkpoints_.begin();) {
-      --it;
-      if (it->first.thread == target.thread) {
-        base = it->first;
-        found = true;
-        break;
-      }
-    }
-    OCSP_CHECK_MSG(found, "no replay base checkpoint");
-    restored = rebuild_by_replay(base, target);
+    const StateIndex* base = restore_base_key(target);
+    OCSP_CHECK_MSG(base != nullptr, "no replay base checkpoint");
+    restored = rebuild_by_replay(*base, target);
   }
   const std::uint32_t idx = restored.index;
 
@@ -643,10 +687,9 @@ void SpeculativeProcess::restore_thread(const StateIndex& target) {
     // state forked is dead too, then drop it.
     if (restored.has_pending_join && restored.join_guess.valid() &&
         history_.status(restored.join_guess) == GuessStatus::kUnknown) {
-      history_.peer(id_).set_status(restored.join_guess,
-                                    GuessStatus::kAborted);
-      history_.peer(id_).observe_incarnation(
-          restored.join_guess.incarnation + 1, restored.join_guess.index);
+      set_guess_status(restored.join_guess, GuessStatus::kAborted);
+      note_incarnation(id_, restored.join_guess.incarnation + 1,
+                       restored.join_guess.index);
       ++stats_.aborts_cascade;
       record_abort(restored.join_guess, obs::AbortReason::kCascade,
                    "zombie-checkpoint", rollback_cause_);
@@ -694,7 +737,8 @@ void SpeculativeProcess::restore_thread(const StateIndex& target) {
       restored.join_guess_aborted = true;
     }
   }
-  threads_.insert_or_assign(idx, std::move(restored));
+  insert_thread(std::move(restored));
+  rollback_index_stale_ = true;  // the checkpoint's pairs are not indexed
 }
 
 // ---------------------------------------------------------------------------
@@ -703,15 +747,21 @@ void SpeculativeProcess::restore_thread(const StateIndex& target) {
 
 void SpeculativeProcess::on_precedence_msg(const GuessId& subject,
                                            const GuardSet& guard) {
-  history_.peer(subject.owner).set_status(subject, GuessStatus::kUnknown);
+  set_guess_status(subject, GuessStatus::kUnknown);
 
   // Collect cycles first: aborting mutates threads_ under our feet.
+  // Retired threads have empty CDGs, which never gain edges here.
   std::vector<GuessId> own_to_abort;
-  for (auto& [idx, t] : threads_) {
+  for (auto it = live_begin(); it != threads_.end(); ++it) {
+    const std::uint32_t idx = it->first;
+    ThreadCtx& t = it->second;
+    ++work_.bookkeeping_steps;
     for (const auto& h : guard) {
       if (!t.cdg.has_node(h) && !t.cdg.has_node(subject)) continue;
       if (t.cdg.has_edge(h, subject)) continue;
       std::vector<GuessId> cycle = t.cdg.add_edge(h, subject);
+      note_holder(h, idx);
+      note_holder(subject, idx);
       {
         obs::Event ev = make_event(obs::EventKind::kCdgEdgeAdded);
         ev.thread = idx;
@@ -749,11 +799,13 @@ void SpeculativeProcess::on_precedence_msg(const GuessId& subject,
 // ---------------------------------------------------------------------------
 
 void SpeculativeProcess::after_guard_change() {
+  advance_retired();
   bool progressed = true;
   while (progressed) {
     progressed = false;
-    for (auto& [idx, t] : threads_) {
-      if (t.phase != ThreadCtx::Phase::kJoinWait) continue;
+    for (const std::uint32_t idx : join_waiting_) {
+      ++work_.bookkeeping_steps;
+      ThreadCtx& t = threads_.at(idx);
       if (t.join_guess_aborted) {
         if (threads_.count(t.join_right_index) == 0) {
           reexecute_right(t);
@@ -772,181 +824,6 @@ void SpeculativeProcess::after_guard_change() {
   flush_logs();
   gc_resolved_state();
   check_completion();
-}
-
-void SpeculativeProcess::gc_resolved_state() {
-  // The earliest state a future rollback can target is the minimum
-  // rollback point over every still-unresolved dependency.
-  StateIndex low{~0u, ~0u, ~0u};
-  bool any_unresolved = false;
-  for (const auto& [idx, t] : threads_) {
-    for (const auto& [g, rb] : t.rollbacks) {
-      if (history_.status(g) == GuessStatus::kUnknown) {
-        any_unresolved = true;
-        if (rb < low) low = rb;
-      }
-    }
-  }
-
-  // Per thread, the replay strategy rebuilds from the latest full
-  // checkpoint at or before the rollback target, so keep the greatest
-  // checkpoint key <= low (or the greatest overall when nothing is in
-  // doubt) and discard everything strictly older, along with the logged
-  // inputs and replay metadata those checkpoints subsume.
-  std::map<std::uint32_t, StateIndex> keep_from;
-  for (const auto& [key, snapshot] : checkpoints_) {
-    if (any_unresolved && low < key) continue;
-    auto [it, inserted] = keep_from.try_emplace(key.thread, key);
-    if (!inserted && it->second < key) it->second = key;
-  }
-  // Threads that are dead (terminated or gone) and targeted by no
-  // unresolved rollback entry can never be resurrected; drop their state
-  // wholesale.
-  std::set<std::uint32_t> rollback_targets;
-  for (const auto& [idx, t] : threads_) {
-    for (const auto& [g, rb] : t.rollbacks) {
-      if (history_.status(g) == GuessStatus::kUnknown) {
-        rollback_targets.insert(rb.thread);
-      }
-    }
-  }
-  auto thread_dead = [&](std::uint32_t idx) {
-    auto it = threads_.find(idx);
-    return it == threads_.end() ||
-           it->second.phase == ThreadCtx::Phase::kTerminated;
-  };
-  auto prunable = [&](const StateIndex& key) {
-    if (thread_dead(key.thread) && rollback_targets.count(key.thread) == 0) {
-      return true;
-    }
-    auto keep = keep_from.find(key.thread);
-    return keep != keep_from.end() && key < keep->second;
-  };
-  for (auto it = checkpoints_.begin(); it != checkpoints_.end();) {
-    if (prunable(it->first)) {
-      it = checkpoints_.erase(it);
-      ++stats_.checkpoints_pruned;
-    } else {
-      ++it;
-    }
-  }
-  for (auto it = replay_meta_.begin(); it != replay_meta_.end();) {
-    if (prunable(it->first)) {
-      it = replay_meta_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  std::vector<LoggedInput> kept_inputs;
-  kept_inputs.reserve(input_log_.size());
-  for (auto& entry : input_log_) {
-    if (prunable(entry.at)) {
-      ++stats_.log_entries_pruned;
-    } else {
-      kept_inputs.push_back(std::move(entry));
-    }
-  }
-  input_log_ = std::move(kept_inputs);
-
-  // Resolved guesses need no targeted-control bookkeeping either.
-  for (auto it = spread_.begin(); it != spread_.end();) {
-    if (history_.status(it->first) != GuessStatus::kUnknown) {
-      it = spread_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-// ---- GVT fossil collection --------------------------------------------
-
-namespace {
-
-/// The checkpoint restore_thread would rebuild `target` from: the exact
-/// entry at the target, or the nearest earlier same-thread checkpoint (the
-/// replay base).  Null when neither exists.
-const ThreadCtx* restore_base(
-    const std::map<StateIndex, ThreadCtx>& checkpoints,
-    const StateIndex& target, StateIndex* base_key) {
-  auto cp = checkpoints.find(target);
-  if (cp != checkpoints.end()) {
-    if (base_key != nullptr) *base_key = cp->first;
-    return &cp->second;
-  }
-  for (auto it = checkpoints.upper_bound(target);
-       it != checkpoints.begin();) {
-    --it;
-    if (it->first.thread == target.thread) {
-      if (base_key != nullptr) *base_key = it->first;
-      return &it->second;
-    }
-  }
-  return nullptr;
-}
-
-}  // namespace
-
-sim::Time SpeculativeProcess::speculation_floor() const {
-  sim::Time floor = sim::kTimeNever;
-  for (const auto& [idx, t] : threads_) {
-    for (const auto& [g, rb] : t.rollbacks) {
-      if (history_.status(g) != GuessStatus::kUnknown) continue;
-      const ThreadCtx* base = restore_base(checkpoints_, rb, nullptr);
-      // A missing base means the rollback would fail anyway (it cannot in
-      // a correct run); be conservative and pin the floor at zero.
-      floor = std::min(floor, base ? base->checkpointed_at : sim::Time{0});
-    }
-  }
-  return floor;
-}
-
-std::size_t SpeculativeProcess::fossil_collect(sim::Time gvt) {
-  // Checkpoints a future rollback can still restore from:  the replay base
-  // of every unresolved rollback target (exactly restore_thread's lookup),
-  // plus the latest checkpoint of each live thread — a dependency acquired
-  // later replays from there, whatever its target turns out to be.
-  std::set<StateIndex> needed;
-  for (const auto& [idx, t] : threads_) {
-    for (const auto& [g, rb] : t.rollbacks) {
-      if (history_.status(g) != GuessStatus::kUnknown) continue;
-      StateIndex base_key{};
-      if (restore_base(checkpoints_, rb, &base_key) != nullptr) {
-        needed.insert(base_key);
-      }
-    }
-  }
-  std::map<std::uint32_t, StateIndex> latest;
-  for (const auto& [key, snapshot] : checkpoints_) {
-    auto th = threads_.find(key.thread);
-    if (th == threads_.end() ||
-        th->second.phase == ThreadCtx::Phase::kTerminated) {
-      continue;
-    }
-    auto [it, inserted] = latest.try_emplace(key.thread, key);
-    if (!inserted && it->second < key) it->second = key;
-  }
-  for (const auto& [thread, key] : latest) needed.insert(key);
-
-  std::size_t freed = 0;
-  for (auto it = checkpoints_.begin(); it != checkpoints_.end();) {
-    if (it->second.checkpointed_at < gvt && needed.count(it->first) == 0) {
-      it = checkpoints_.erase(it);
-      ++freed;
-    } else {
-      ++it;
-    }
-  }
-  stats_.checkpoints_fossil_collected += freed;
-  return freed;
-}
-
-std::vector<sim::Time> SpeculativeProcess::checkpoint_times() const {
-  std::vector<sim::Time> times;
-  times.reserve(checkpoints_.size());
-  for (const auto& [key, snapshot] : checkpoints_) {
-    times.push_back(snapshot.checkpointed_at);
-  }
-  return times;
 }
 
 }  // namespace ocsp::spec

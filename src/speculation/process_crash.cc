@@ -40,7 +40,9 @@ void SpeculativeProcess::restart() {
   std::uint64_t root_aborts = 0;
   for (;;) {
     const ThreadCtx* victim = nullptr;
-    for (const auto& [idx, t] : threads_) {
+    for (auto it = live_begin(); it != threads_.end(); ++it) {
+      const ThreadCtx& t = it->second;
+      ++work_.bookkeeping_steps;
       if (t.phase == ThreadCtx::Phase::kTerminated) continue;
       if (!t.has_own_guess) continue;
       if (history_.status(t.own_guess) != GuessStatus::kUnknown) continue;
@@ -67,8 +69,10 @@ void SpeculativeProcess::restart() {
 
   // Threads whose compute timers fired during the downtime are kRunning but
   // their steps were swallowed by the crashed_ gate; re-arm them.
-  for (auto& [idx, t] : threads_) {
-    if (t.phase == ThreadCtx::Phase::kRunning) schedule_step(idx);
+  for (auto it = live_begin(); it != threads_.end(); ++it) {
+    if (it->second.phase == ThreadCtx::Phase::kRunning) {
+      schedule_step(it->first);
+    }
   }
   // The transport flushes parked frames right after this returns
   // (Runtime::restart_process); locally-queued messages can go now.
@@ -81,9 +85,8 @@ void SpeculativeProcess::observe_peer_incarnation(ProcessId src,
                                                   std::uint32_t inc,
                                                   std::uint32_t start) {
   if (crashed_ || src == id_) return;
-  PeerHistory& peer = history_.peer(src);
-  if (inc <= peer.latest_incarnation()) return;  // nothing new
-  peer.observe_incarnation(inc, start);
+  if (inc <= history_.peer(src).latest_incarnation()) return;  // nothing new
+  note_incarnation(src, inc, start);
   OCSP_DLOG << name_ << ": observed " << src << " incarnation " << inc
             << " from index " << start;
   // The implicit-abort rule just flipped guesses to kAborted without an

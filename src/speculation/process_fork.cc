@@ -153,8 +153,9 @@ void SpeculativeProcess::do_fork(ThreadCtx& t, const csp::ForkStmt& f) {
       recorder().record(std::move(se));
     }
 
-    auto [it, inserted] = threads_.emplace(new_index, std::move(r));
-    OCSP_CHECK_MSG(inserted, "thread index reuse without kill");
+    OCSP_CHECK_MSG(threads_.count(new_index) == 0,
+                   "thread index reuse without kill");
+    insert_thread(std::move(r));
     schedule_step(new_index);
 
     // No fork timer (S1 cannot fault), no predictor work, no creation
@@ -237,7 +238,7 @@ void SpeculativeProcess::do_fork(ThreadCtx& t, const csp::ForkStmt& f) {
   r.own_site = f.site;
   r.created_at = current_index(t);
 
-  history_.peer(id_).set_status(guess, GuessStatus::kUnknown);
+  set_guess_status(guess, GuessStatus::kUnknown);
 
   timeline().record({trace::TimelineEntry::Kind::kFork,
                      runtime_.scheduler().now(), id_, kNoProcess,
@@ -265,12 +266,16 @@ void SpeculativeProcess::do_fork(ThreadCtx& t, const csp::ForkStmt& f) {
     ++live_metrics_.counter("guesses_made");
   }
 
-  auto [it, inserted] = threads_.emplace(new_index, std::move(r));
-  OCSP_CHECK_MSG(inserted, "thread index reuse without kill");
+  OCSP_CHECK_MSG(threads_.count(new_index) == 0,
+                 "thread index reuse without kill");
+  ThreadCtx& right = insert_thread(std::move(r));
+  // The parent keeps every other pair the child copied; only the child's
+  // own guess is new to the rollback index.
+  rollback_index_.add(guess, right.rollbacks.at(guess));
   obs::speculation_depth_hist(live_metrics_)
-      .add(static_cast<double>(it->second.guard.size()));
-  take_checkpoint(it->second);
-  ++it->second.interval;  // keep the creation checkpoint key unique
+      .add(static_cast<double>(right.guard.size()));
+  take_checkpoint(right);
+  ++right.interval;  // keep the creation checkpoint key unique
   schedule_step(new_index);
 
   // The parent continues as the left thread; give its post-fork state its
@@ -318,7 +323,7 @@ void SpeculativeProcess::do_join_inner(ThreadCtx& left) {
     // caller's after_guard_change() drains the right thread's buffered
     // events (flush order requires this thread terminated first) and
     // re-checks completion.
-    left.phase = ThreadCtx::Phase::kTerminated;
+    set_phase(left, ThreadCtx::Phase::kTerminated);
     left.has_pending_join = false;
     left.join_safe = false;
     return;
@@ -437,7 +442,7 @@ void SpeculativeProcess::do_join_inner(ThreadCtx& left) {
     return;
   }
   distribute_control(ControlKind::kPrecedence, guess, published);
-  l.phase = ThreadCtx::Phase::kJoinWait;
+  set_phase(l, ThreadCtx::Phase::kJoinWait);
   fork_timers_[guess] = runtime_.scheduler().after(
       config_.join_wait_timeout, [this, guess]() {
         fork_timers_.erase(guess);
@@ -473,7 +478,7 @@ void SpeculativeProcess::finalize_join_commit(ThreadCtx& left) {
   }
   site_aborts_[left.join_site] = 0;
   governor_outcome(left.join_site, /*aborted=*/false);
-  left.phase = ThreadCtx::Phase::kTerminated;
+  set_phase(left, ThreadCtx::Phase::kTerminated);
   left.has_pending_join = false;
   timeline().record({trace::TimelineEntry::Kind::kCommit,
                      runtime_.scheduler().now(), id_, kNoProcess,
@@ -508,14 +513,16 @@ void SpeculativeProcess::reexecute_right(ThreadCtx& left) {
   r.has_own_guess = false;
   r.created_at = current_index(left);
 
-  left.phase = ThreadCtx::Phase::kTerminated;
+  set_phase(left, ThreadCtx::Phase::kTerminated);
   left.has_pending_join = false;
 
-  auto [it, inserted] = threads_.emplace(right_index, std::move(r));
-  OCSP_CHECK(inserted);
+  // The left thread stays in the table with the pairs r copied, so the
+  // rollback index already has them.
+  OCSP_CHECK(threads_.count(right_index) == 0);
+  ThreadCtx& right = insert_thread(std::move(r));
   max_thread_ = std::max(max_thread_, right_index);
-  take_checkpoint(it->second);
-  ++it->second.interval;  // keep the creation checkpoint key unique
+  take_checkpoint(right);
+  ++right.interval;  // keep the creation checkpoint key unique
   schedule_step(right_index);
   flush_logs();
 }

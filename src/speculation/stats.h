@@ -137,4 +137,25 @@ struct SpecStats {
   void export_to(obs::MetricsRegistry& m) const;
 };
 
+/// Deterministic work counters for the speculation core's bookkeeping
+/// loops.  They measure cost, not behaviour, so they stay out of SpecStats
+/// (and out of every exported snapshot and BENCH_*.json): the same run
+/// reports the same counters, and a change that makes a loop cheaper moves
+/// only these.
+struct WorkCounters {
+  /// Elements visited by the bookkeeping scans: threads walked by flush,
+  /// join, completion, delivery, commit and precedence processing;
+  /// retained-state entries examined by garbage and fossil collection;
+  /// rollback-index and holder entries touched; pending messages examined.
+  std::uint64_t bookkeeping_steps = 0;
+  /// Pending messages examined by the arrival scan that were neither
+  /// delivered nor discarded (re-examinations of undeliverable messages).
+  std::uint64_t pending_rescans = 0;
+
+  void merge(const WorkCounters& o) {
+    bookkeeping_steps += o.bookkeeping_steps;
+    pending_rescans += o.pending_rescans;
+  }
+};
+
 }  // namespace ocsp::spec

@@ -3,6 +3,8 @@
 // window of in-doubt guesses, not by the length of the run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/workloads.h"
 #include "speculation/runtime.h"
 
@@ -77,6 +79,66 @@ TEST(Gc, ClientStateAlsoPruned) {
   // the dead threads' checkpoints are pruned and only the live tail stays.
   EXPECT_LT(rt->process(0).checkpoint_count(), 8u);
   EXPECT_GT(rt->process(0).stats().checkpoints_pruned, 100u);
+}
+
+/// Peak retained state of any process over a run, sampled every 100 us.
+struct Peaks {
+  std::size_t live_threads = 0;
+  std::size_t checkpoints = 0;
+  std::size_t input_log = 0;
+  std::size_t pending = 0;
+};
+
+Peaks run_sampled(spec::Runtime& rt) {
+  Peaks peaks;
+  for (sim::Time t = sim::microseconds(100); !rt.process(0).completed();
+       t += sim::microseconds(100)) {
+    rt.run(t);
+    for (ProcessId p = 0; p < rt.process_count(); ++p) {
+      const auto& proc = rt.process(p);
+      peaks.live_threads = std::max(peaks.live_threads,
+                                    proc.live_thread_count());
+      peaks.checkpoints = std::max(peaks.checkpoints, proc.checkpoint_count());
+      peaks.input_log = std::max(peaks.input_log, proc.input_log_size());
+      peaks.pending = std::max(peaks.pending, proc.pending_message_count());
+    }
+  }
+  rt.run();
+  return peaks;
+}
+
+TEST(Gc, LongRunStateStaysBounded) {
+  // A 10^4-line speculative stream whose client issues calls no faster
+  // than the server answers them: the guesses in doubt are bounded by the
+  // round trip, so every kind of retained state must be bounded too — the
+  // same peak as a 10x shorter run, not ten times it.
+  auto params = [](int lines) {
+    core::PutLineParams p =
+        long_run(lines, spec::RollbackStrategy::kCheckpointEveryInterval);
+    p.client_compute = sim::microseconds(20);
+    return p;
+  };
+  auto short_rt =
+      baseline::make_runtime(core::putline_scenario(params(1000)), true);
+  const Peaks short_peaks = run_sampled(*short_rt);
+  ASSERT_TRUE(short_rt->process(0).completed());
+
+  const auto scenario = core::putline_scenario(params(10000));
+  auto long_rt = baseline::make_runtime(scenario, true);
+  const Peaks long_peaks = run_sampled(*long_rt);
+  ASSERT_TRUE(long_rt->process(0).completed());
+
+  constexpr std::size_t kSlack = 4;
+  EXPECT_LE(long_peaks.live_threads, short_peaks.live_threads + kSlack);
+  EXPECT_LE(long_peaks.checkpoints, short_peaks.checkpoints + kSlack);
+  EXPECT_LE(long_peaks.input_log, short_peaks.input_log + kSlack);
+  EXPECT_LE(long_peaks.pending, short_peaks.pending + kSlack);
+
+  const auto pess = baseline::run_scenario(scenario, false);
+  std::string why;
+  EXPECT_TRUE(trace::compare_traces(pess.trace, long_rt->committed_trace(),
+                                    &why))
+      << why;
 }
 
 }  // namespace
