@@ -48,9 +48,13 @@ void Engine::send(const Event& event) {
 }
 
 void Engine::deliver_visible() {
+  // Take the queue out first: a delivery can roll an LP back, whose
+  // antimessages send() appends to in_flight_ while this loop runs.
+  std::vector<InFlight> current;
+  current.swap(in_flight_);
   std::vector<InFlight> later;
-  later.reserve(in_flight_.size());
-  for (auto& f : in_flight_) {
+  later.reserve(current.size());
+  for (auto& f : current) {
     if (f.visible_round <= round_) {
       Lp& lp = lps_[static_cast<std::size_t>(f.event.dst)];
       enqueue(lp, f.event);
@@ -58,6 +62,9 @@ void Engine::deliver_visible() {
       later.push_back(std::move(f));
     }
   }
+  // Still in flight: the undelivered entries in their old order, then
+  // whatever the deliveries sent.
+  for (auto& f : in_flight_) later.push_back(std::move(f));
   in_flight_ = std::move(later);
 }
 

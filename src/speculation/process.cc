@@ -473,6 +473,7 @@ void SpeculativeProcess::take_checkpoint(const ThreadCtx& t) {
   ++stats_.checkpoints;
   ThreadCtx snapshot = t;
   snapshot.checkpointed_at = runtime_.scheduler().now();
+  snapshot.checkpointed_clock = scrubs_.now();
   const std::uint64_t payload = snapshot.machine.state_bytes();
   apply_state_strategy(snapshot.machine);
   {

@@ -46,10 +46,11 @@
 #include "speculation/messages.h"
 #include "speculation/predictor.h"
 #include "speculation/rollback_index.h"
+#include "speculation/rollback_map.h"
+#include "speculation/scrub_log.h"
 #include "speculation/stats.h"
 #include "trace/events.h"
 #include "trace/timeline.h"
-#include "util/flat_map.h"
 #include "util/rng.h"
 
 namespace ocsp::exec {
@@ -62,6 +63,8 @@ class Runtime;
 
 /// One logical thread of a process.  Copyable: a checkpoint is a copy of
 /// the whole ThreadCtx (machine, guards, CDG, rollback map, event log).
+/// The CDG and rollback map are persistent tables read through the
+/// process's ScrubLog, so the copy shares them in O(1).
 struct ThreadCtx {
   enum class Phase {
     kRunning,       ///< machine is ready; a step is (or will be) scheduled
@@ -80,7 +83,7 @@ struct ThreadCtx {
 
   GuardSet guard;
   Cdg cdg;
-  util::FlatMap<GuessId, StateIndex> rollbacks;
+  RollbackMap rollbacks;
 
   /// Guess guarding this thread's start (right threads only).
   bool has_own_guess = false;
@@ -145,6 +148,9 @@ struct ThreadCtx {
   /// executor's fossil collector frees checkpoints whose time is below the
   /// GVT-derived speculation floor.
   sim::Time checkpointed_at = 0;
+  /// ScrubLog clock when this copy was checkpointed (checkpoint copies
+  /// only): a restore must not apply the scrubs made since.
+  std::uint64_t checkpointed_clock = 0;
 };
 
 class SpeculativeProcess {
@@ -194,6 +200,8 @@ class SpeculativeProcess {
   std::size_t pending_message_count() const { return pending_.size(); }
   std::size_t checkpoint_count() const { return checkpoints_.size(); }
   std::size_t input_log_size() const { return input_log_.size(); }
+  /// Guesses and scrubs the scrub log remembers (ScrubLog::size).
+  std::size_t scrub_log_size() const { return scrubs_.size(); }
   /// Env of every retained checkpoint, keyed by state index (deterministic
   /// order; Env copies are O(1)).  Differential tests compare these across
   /// state strategies.
@@ -263,10 +271,12 @@ class SpeculativeProcess {
   void commit_guess_local(const GuessId& g);
   void abort_guess_local(const GuessId& g);
   void abort_own_guess(const GuessId& g, const char* reason);
-  /// Forget the holders of `g` that no longer hold it.
-  void scrub_holders(const GuessId& g);
-  /// Remove and return the holders of `g`, ascending and distinct.
-  std::vector<std::uint32_t> take_holders(const GuessId& g);
+  /// Remove and return the threads indexed under `g` in `index`
+  /// (guard_holders_ or edge_holders_), ascending and distinct.
+  static std::vector<std::uint32_t> take_holders(
+      std::map<GuessId, std::vector<std::uint32_t>>& index, const GuessId& g);
+  /// Commit joins whose guard emptied and re-execute those whose guess
+  /// aborted, then flush, collect and check completion.
   void after_guard_change();
   /// Roll back every thread depending on a history-aborted guess to a
   /// fixpoint (the body of abort_guess_local, also run after incarnation
@@ -331,11 +341,12 @@ class SpeculativeProcess {
   //
   // Every per-event scan below touches only live state: threads at or
   // above the retired watermark, the rollback-point index instead of every
-  // thread's rollback map, the threads holding a guess instead of every
-  // thread, and the per-thread ledger instead of every retained checkpoint
-  // and logged input.  DESIGN.md "Bookkeeping cost" lists each scan's old
-  // and new complexity; verify_bookkeeping() recomputes the indexes by
-  // brute force in debug builds.
+  // thread's rollback map, the threads whose guard holds a guess instead of
+  // every thread, and the per-thread ledger instead of every retained
+  // checkpoint and logged input.  CDG and rollback entries of resolved
+  // guesses are scrubbed lazily through scrubs_.  DESIGN.md "Bookkeeping
+  // cost" lists each scan's old and new complexity; verify_bookkeeping()
+  // recomputes the indexes by brute force in debug builds.
   StateIndex current_index(const ThreadCtx& t) const;
 
   /// History updates go through these two so that the rollback index and
@@ -349,16 +360,25 @@ class SpeculativeProcess {
 
   /// Thread table updates: every insertion or replacement, removal and
   /// phase change goes through these, which keep the phase sets, the
-  /// holder map, the rollback index and the retired watermark in step.
+  /// holder indexes, the join wake-ups, the rollback index and the retired
+  /// watermark in step.
   ThreadCtx& insert_thread(ThreadCtx t);
   void erase_thread(std::map<std::uint32_t, ThreadCtx>::iterator it);
   void set_phase(ThreadCtx& t, ThreadCtx::Phase phase);
   /// `t` (a live thread) now depends on `g`, restored to `rb` on abort.
   void add_dependency(ThreadCtx& t, const GuessId& g, const StateIndex& rb);
-  /// Record that thread `index` may hold `g` in its guard, CDG or
-  /// rollback map (commit and abort scrub only those threads).
-  void note_holder(const GuessId& g, std::uint32_t index);
-  void note_holdings(const ThreadCtx& t);
+  /// Add `g` to a live thread's guard; the guard-holder index follows.
+  void guard_add(ThreadCtx& t, const GuessId& g);
+  /// Add (or remove) every guard member of `t` to (from) the index.
+  void index_guard(const ThreadCtx& t, bool add);
+  /// Record that thread `index` may hold a CDG edge at `g` (COMMIT looks
+  /// for implied-committed predecessors only in those threads).
+  void note_edge_holder(const GuessId& g, std::uint32_t index);
+  /// Thread `index` may now be able to leave JoinWait.
+  void wake_join(std::uint32_t index);
+  /// `cp` as a live thread again: its tables without the scrubs made
+  /// since it was checkpointed.
+  ThreadCtx thaw_checkpoint(const ThreadCtx& cp) const;
   /// First thread at or above the retired watermark.
   std::map<std::uint32_t, ThreadCtx>::iterator live_begin() {
     return threads_.lower_bound(retired_below_);
@@ -369,7 +389,7 @@ class SpeculativeProcess {
   /// Terminated, fully flushed, and holding no guard, CDG node or rollback
   /// entry: nothing a scan looks for, and nothing can change that short of
   /// replacing the thread (which lowers the watermark again).
-  static bool retirable(const ThreadCtx& t);
+  bool retirable(const ThreadCtx& t) const;
   void advance_retired();
   /// Rebuild the rollback index from the live threads' maps after a kill
   /// or restore removed pairs the index cannot attribute.
@@ -403,6 +423,13 @@ class SpeculativeProcess {
   /// Debug builds: recompute the indexes and the GC outcome by brute force
   /// and check them against the incremental state.
   void verify_bookkeeping() const;
+  /// Debug builds: the lazy tables of every live thread answer what their
+  /// entries, filtered one by one against the scrub log, answer
+  /// (Cdg::verify_lazy, RollbackMap::verify_lazy).
+  void verify_lazy_tables() const;
+  /// Debug builds: no JoinWait thread is left that could commit or
+  /// re-execute.
+  void verify_join_wakeups() const;
   void verify_arrivals() const;
   /// Discard checkpoints, replay metadata, and logged inputs that no
   /// possible future rollback can reach (everything strictly before the
@@ -410,6 +437,11 @@ class SpeculativeProcess {
   /// long-running server's speculative state bounded by the window of
   /// in-doubt guesses instead of the run length.
   void gc_resolved_state();
+  /// Once the scrub log has doubled since it was last pruned: forget the
+  /// guesses no stored table entry names and the scrubs no retained
+  /// checkpoint can ask about (ScrubLog::prune).  Walks every distinct
+  /// table node of the threads and checkpoints once.
+  void prune_scrub_log();
   void record_event(ThreadCtx& t, trace::ObservableEvent event);
   void flush_events(ThreadCtx& t);
   void flush_logs();
@@ -548,9 +580,15 @@ class SpeculativeProcess {
   /// Union of the live threads' (unresolved guess -> rollback point) pairs.
   mutable RollbackIndex rollback_index_;
   mutable bool rollback_index_stale_ = false;
-  /// guess -> threads that may hold it in guard, CDG or rollback map
-  /// (append-only between scrubs; may repeat an index).
-  std::map<GuessId, std::vector<std::uint32_t>> holders_;
+  /// guess -> live threads whose guard holds it (exact, ascending; at
+  /// most one guess per owner per thread).
+  std::map<GuessId, std::vector<std::uint32_t>> guard_holders_;
+  /// guess -> threads that may hold a CDG edge at it (append-only until
+  /// the guess is scrubbed; may repeat an index).
+  std::map<GuessId, std::vector<std::uint32_t>> edge_holders_;
+  /// JoinWait threads whose guard, join guess or right thread changed
+  /// since after_guard_change last looked.
+  std::set<std::uint32_t> join_wakeups_;
   /// Every thread below this index is retirable().
   std::uint32_t retired_below_ = 0;
   /// Threads by phase, for the phases scans look for.
@@ -559,6 +597,10 @@ class SpeculativeProcess {
   std::set<std::uint32_t> done_waiting_;
 
   mutable WorkCounters work_;
+  /// Resolved guesses still physically in CDGs and rollback maps; every
+  /// table read goes through it.  Counts the entries lazy walks visit in
+  /// work_.
+  ScrubLog scrubs_{&work_.bookkeeping_steps};
 
   /// The aborted guess whose processing is currently driving rollbacks;
   /// threaded into kWorkDiscarded / cascade kAbort events so attribution

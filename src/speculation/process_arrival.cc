@@ -348,8 +348,8 @@ void SpeculativeProcess::accept_message(ThreadCtx& t,
   }
   ++t.interval;
   for (const auto& g : newguards) {
-    t.guard.add(g);
-    t.cdg.add_node(g);
+    guard_add(t, g);
+    t.cdg.add_node(g, scrubs_);
     add_dependency(t, g, rollback_point);
     set_guess_status(g, GuessStatus::kUnknown);
   }

@@ -9,7 +9,13 @@
 //     good (terminated, flushed, no dependencies left);
 //   * phase sets name the threads blocked in Receive, waiting at a join, or
 //     done but guarded;
-//   * the holder map names the threads a COMMIT or ABORT has to scrub;
+//   * CDG and rollback entries of resolved guesses are scrubbed lazily
+//     (scrub_log.h), so forks and checkpoints share their tables and a
+//     COMMIT or ABORT visits no thread for them;
+//   * the guard-holder index names the threads whose guard a COMMIT
+//     changes, and the edge-holder index the threads whose CDG can name
+//     an implied-committed predecessor;
+//   * join wake-ups name the JoinWait threads that may be able to move;
 //   * the rollback index keeps the union of unresolved (guess -> rollback
 //     point) pairs, so GC reads the earliest point and the targeted threads
 //     in O(log n);
@@ -19,6 +25,8 @@
 // None of this changes what the protocol does: verify_bookkeeping()
 // recomputes every index and the GC outcome by brute force in debug builds.
 #include <algorithm>
+#include <iterator>
+#include <unordered_set>
 
 #include "speculation/process.h"
 #include "speculation/runtime.h"
@@ -96,6 +104,7 @@ ThreadCtx& SpeculativeProcess::insert_thread(ThreadCtx t) {
                               join_waiting_, done_waiting_)) {
       set->erase(idx);
     }
+    index_guard(old->second, /*add=*/false);
     rollback_index_stale_ = true;
   }
   retired_below_ = std::min(retired_below_, idx);
@@ -107,7 +116,19 @@ ThreadCtx& SpeculativeProcess::insert_thread(ThreadCtx t) {
   if (slot.phase == ThreadCtx::Phase::kTerminated) {
     dead_candidates_.insert(idx);
   }
-  note_holdings(slot);
+  if (slot.phase == ThreadCtx::Phase::kJoinWait) wake_join(idx);
+  index_guard(slot, /*add=*/true);
+  std::vector<GuessId> endpoints;
+  slot.cdg.for_each_edge(
+      [&](const GuessId& from, const GuessId& to) {
+        endpoints.push_back(from);
+        endpoints.push_back(to);
+      },
+      scrubs_);
+  std::sort(endpoints.begin(), endpoints.end());
+  endpoints.erase(std::unique(endpoints.begin(), endpoints.end()),
+                  endpoints.end());
+  for (const GuessId& g : endpoints) note_edge_holder(g, idx);
   return slot;
 }
 
@@ -118,7 +139,11 @@ void SpeculativeProcess::erase_thread(
                             join_waiting_, done_waiting_)) {
     set->erase(idx);
   }
-  if (!it->second.rollbacks.empty()) rollback_index_stale_ = true;
+  if (!it->second.rollbacks.empty(scrubs_)) rollback_index_stale_ = true;
+  index_guard(it->second, /*add=*/false);
+  // A JoinWait parent whose aborted guess's right thread just died can
+  // re-execute it now.
+  wake_join(it->second.created_at.thread);
   dead_candidates_.insert(idx);
   threads_.erase(it);
 }
@@ -135,52 +160,93 @@ void SpeculativeProcess::set_phase(ThreadCtx& t, ThreadCtx::Phase phase) {
     set->insert(t.index);
   }
   if (phase == ThreadCtx::Phase::kTerminated) dead_candidates_.insert(t.index);
+  if (phase == ThreadCtx::Phase::kJoinWait) wake_join(t.index);
 }
 
 void SpeculativeProcess::add_dependency(ThreadCtx& t, const GuessId& g,
                                         const StateIndex& rb) {
-  auto [it, inserted] = t.rollbacks.try_emplace(g, rb);
-  if (!inserted && !(it->second == rb)) {
-    // The old pair may have been this thread's alone.
-    it->second = rb;
-    rollback_index_stale_ = true;
+  if (const StateIndex* old = t.rollbacks.find(g, scrubs_)) {
+    if (!(*old == rb)) {
+      // The old pair may have been this thread's alone.
+      t.rollbacks.assign(g, rb, scrubs_);
+      rollback_index_stale_ = true;
+    }
+  } else {
+    t.rollbacks.assign(g, rb, scrubs_);
   }
   if (history_.status(g) == GuessStatus::kUnknown) rollback_index_.add(g, rb);
-  note_holder(g, t.index);
 }
 
-void SpeculativeProcess::note_holder(const GuessId& g, std::uint32_t index) {
+void SpeculativeProcess::guard_add(ThreadCtx& t, const GuessId& g) {
+  // A later guess of the same owner replaces (subsumes) the earlier one.
+  const GuessId old = t.guard.for_owner(g.owner);
+  if (!t.guard.add(g)) return;
+  if (old.valid()) {
+    auto& threads = guard_holders_[old];
+    threads.erase(std::lower_bound(threads.begin(), threads.end(), t.index));
+    if (threads.empty()) guard_holders_.erase(old);
+  }
+  auto& threads = guard_holders_[g];
+  threads.insert(std::lower_bound(threads.begin(), threads.end(), t.index),
+                 t.index);
+}
+
+void SpeculativeProcess::index_guard(const ThreadCtx& t, bool add) {
+  for (const auto& g : t.guard) {
+    ++work_.bookkeeping_steps;
+    auto& threads = guard_holders_[g];
+    auto pos = std::lower_bound(threads.begin(), threads.end(), t.index);
+    if (add) {
+      if (pos == threads.end() || *pos != t.index) threads.insert(pos, t.index);
+    } else {
+      if (pos != threads.end() && *pos == t.index) threads.erase(pos);
+      if (threads.empty()) guard_holders_.erase(g);
+    }
+  }
+}
+
+void SpeculativeProcess::note_edge_holder(const GuessId& g,
+                                          std::uint32_t index) {
   ++work_.bookkeeping_steps;
-  std::vector<std::uint32_t>& threads = holders_[g];
+  std::vector<std::uint32_t>& threads = edge_holders_[g];
   if (threads.empty() || threads.back() != index) threads.push_back(index);
 }
 
-std::vector<std::uint32_t> SpeculativeProcess::take_holders(const GuessId& g) {
-  auto held = holders_.find(g);
-  if (held == holders_.end()) return {};
+std::vector<std::uint32_t> SpeculativeProcess::take_holders(
+    std::map<GuessId, std::vector<std::uint32_t>>& index, const GuessId& g) {
+  auto held = index.find(g);
+  if (held == index.end()) return {};
   std::vector<std::uint32_t> threads = std::move(held->second);
-  holders_.erase(held);
+  index.erase(held);
   std::sort(threads.begin(), threads.end());
   threads.erase(std::unique(threads.begin(), threads.end()), threads.end());
   return threads;
 }
 
-void SpeculativeProcess::note_holdings(const ThreadCtx& t) {
-  for (const auto& g : t.guard) note_holder(g, t.index);
-  t.cdg.for_each_node([&](const GuessId& g) { note_holder(g, t.index); });
-  for (const auto& [g, rb] : t.rollbacks) note_holder(g, t.index);
+void SpeculativeProcess::wake_join(std::uint32_t index) {
+  if (join_waiting_.count(index) > 0) join_wakeups_.insert(index);
 }
 
-bool SpeculativeProcess::retirable(const ThreadCtx& t) {
+ThreadCtx SpeculativeProcess::thaw_checkpoint(const ThreadCtx& cp) const {
+  ThreadCtx t = cp;
+  t.cdg = cp.cdg.thawed(scrubs_, cp.checkpointed_clock);
+  t.rollbacks = cp.rollbacks.thawed(scrubs_, cp.checkpointed_clock);
+  return t;
+}
+
+bool SpeculativeProcess::retirable(const ThreadCtx& t) const {
   return t.phase == ThreadCtx::Phase::kTerminated && !t.has_pending_join &&
          t.flushed_count == t.event_log.size() && t.guard.empty() &&
-         t.cdg.node_count() == 0 && t.rollbacks.empty();
+         t.rollbacks.empty(scrubs_) && t.cdg.empty(scrubs_);
 }
 
 void SpeculativeProcess::advance_retired() {
   for (auto it = live_begin(); it != threads_.end() && retirable(it->second);
        ++it) {
     ++work_.bookkeeping_steps;
+    // Everything left in its tables is scrubbed: free it.
+    it->second.cdg.clear();
+    it->second.rollbacks.clear();
     retired_below_ = it->first + 1;
   }
 }
@@ -189,12 +255,13 @@ void SpeculativeProcess::refresh_rollback_index() const {
   if (!rollback_index_stale_) return;
   rollback_index_.clear();
   for (auto it = live_begin(); it != threads_.end(); ++it) {
-    for (const auto& [g, rb] : it->second.rollbacks) {
-      ++work_.bookkeeping_steps;
-      if (history_.status(g) == GuessStatus::kUnknown) {
-        rollback_index_.add(g, rb);
-      }
-    }
+    it->second.rollbacks.for_each(
+        scrubs_, [&](const GuessId& g, const StateIndex& rb) {
+          ++work_.bookkeeping_steps;
+          if (history_.status(g) == GuessStatus::kUnknown) {
+            rollback_index_.add(g, rb);
+          }
+        });
   }
   rollback_index_stale_ = false;
 }
@@ -361,9 +428,38 @@ void SpeculativeProcess::gc_resolved_state() {
       ++it;
     }
   }
+  prune_scrub_log();
 #ifndef NDEBUG
   verify_bookkeeping();
 #endif
+}
+
+void SpeculativeProcess::prune_scrub_log() {
+  if (!scrubs_.wants_prune()) return;
+  std::unordered_set<const void*> seen;
+  std::unordered_set<GuessId, GuessIdHash> held;
+  std::uint64_t floor = scrubs_.now();
+  std::size_t swept = 0;
+  auto sweep = [&](const ThreadCtx& t) {
+    swept += t.cdg.for_each_stored_once(
+        seen, [&](const GuessId& g) { held.insert(g); });
+    swept += t.rollbacks.for_each_stored_once(
+        seen, [&](const GuessId& g, const StateIndex&, std::uint64_t) {
+          held.insert(g);
+        });
+  };
+  // Retired threads' tables are empty.
+  for (auto it = live_begin(); it != threads_.end(); ++it) {
+    ++swept;
+    sweep(it->second);
+  }
+  for (const auto& [key, cp] : checkpoints_) {
+    ++swept;
+    sweep(cp);
+    floor = std::min(floor, cp.checkpointed_clock);
+  }
+  work_.bookkeeping_steps += swept;
+  scrubs_.prune(held, floor, swept);
 }
 
 // ---- GVT fossil collection --------------------------------------------
@@ -430,6 +526,8 @@ std::vector<sim::Time> SpeculativeProcess::checkpoint_times() const {
 // ---------------------------------------------------------------------------
 
 void SpeculativeProcess::verify_bookkeeping() const {
+  const ScrubLog::Quiet quiet(scrubs_);
+
   // Retired prefix: every thread below the watermark is retirable.  Check
   // the 64 threads just below it: older ones were checked while they were
   // there, and a retired thread cannot change without being replaced,
@@ -443,47 +541,74 @@ void SpeculativeProcess::verify_bookkeeping() const {
   }
 
   // Rollback index: earliest unresolved rollback point and targeted
-  // threads, recomputed from every live thread's map.
+  // threads, recomputed from every stored entry of every live thread's
+  // map, filtered one by one.  A subtree several maps share (forks,
+  // checkpoints) is walked once: its entries would add the same points
+  // again.  Every guess a stored entry names must be one the scrub log
+  // still tracks, or a later scrub of it would be lost.
+  std::unordered_set<const void*> seen;
+  auto tracked = [&](const GuessId& g) {
+    OCSP_CHECK_MSG(scrubs_.tracks(g), "scrub log forgot a stored guess");
+  };
   StateIndex low{};
   bool any_unresolved = false;
   std::set<std::uint32_t> targets;
   std::set<std::uint32_t> message, join, done;
-  std::vector<std::pair<GuessId, std::uint32_t>> holder_pairs;
-  for (const auto& [g, threads] : holders_) {
-    for (const std::uint32_t idx : threads) holder_pairs.emplace_back(g, idx);
+  std::map<GuessId, std::vector<std::uint32_t>> guard_holders;
+  std::set<std::pair<GuessId, std::uint32_t>> edge_pairs;
+  for (const auto& [g, threads] : edge_holders_) {
+    for (const std::uint32_t idx : threads) edge_pairs.emplace(g, idx);
   }
-  std::sort(holder_pairs.begin(), holder_pairs.end());
+  // Retired threads have empty guards.
   for (auto it = live_begin(); it != threads_.end(); ++it) {
     const ThreadCtx& t = it->second;
-    for (const auto& [g, rb] : t.rollbacks) {
-      if (history_.status(g) != GuessStatus::kUnknown) continue;
-      if (!any_unresolved || rb < low) low = rb;
-      any_unresolved = true;
-      targets.insert(rb.thread);
-    }
+    for (const auto& g : t.guard) guard_holders[g].push_back(it->first);
     if (t.phase == ThreadCtx::Phase::kAwaitMessage) message.insert(it->first);
     if (t.phase == ThreadCtx::Phase::kJoinWait) join.insert(it->first);
     if (t.phase == ThreadCtx::Phase::kDoneWaitGuard) done.insert(it->first);
-    // Holders: a superset of the threads holding each guess.
-    auto held = [&](const GuessId& g) {
-      OCSP_CHECK_MSG(std::binary_search(holder_pairs.begin(),
-                                        holder_pairs.end(),
-                                        std::pair(g, it->first)),
-                     "guess holder not indexed");
-    };
-    for (const auto& g : t.guard) held(g);
-    t.cdg.for_each_node(held);
-    for (const auto& [g, rb] : t.rollbacks) held(g);
+    t.rollbacks.for_each_stored_once(
+        seen,
+        [&](const GuessId& g, const StateIndex& rb, std::uint64_t stamp) {
+          tracked(g);
+          if (scrubs_.rollback_hidden(g, stamp) ||
+              history_.status(g) != GuessStatus::kUnknown) {
+            return;
+          }
+          if (!any_unresolved || rb < low) low = rb;
+          any_unresolved = true;
+          targets.insert(rb.thread);
+        });
+    t.cdg.for_each_stored_once(seen, tracked);
+    // Edge holders: a superset of the threads holding an edge at a guess.
+    t.cdg.for_each_edge(
+        [&](const GuessId& from, const GuessId& to) {
+          OCSP_CHECK_MSG(edge_pairs.count({from, it->first}) == 1 &&
+                             edge_pairs.count({to, it->first}) == 1,
+                         "CDG edge holder not indexed");
+        },
+        scrubs_);
   }
+  for (const auto& [key, cp] : checkpoints_) {
+    OCSP_CHECK_MSG(cp.checkpointed_clock >= scrubs_.floor(),
+                   "scrub log forgot scrubs a checkpoint can ask about");
+    cp.rollbacks.for_each_stored_once(
+        seen, [&](const GuessId& g, const StateIndex&, std::uint64_t) {
+          tracked(g);
+        });
+    cp.cdg.for_each_stored_once(seen, tracked);
+  }
+  OCSP_CHECK_MSG(guard_holders == guard_holders_,
+                 "guard-holder index disagrees with the guards");
+  verify_lazy_tables();
   OCSP_CHECK_MSG(!rollback_index_stale_, "rollback index left stale");
-  OCSP_CHECK_MSG(any_unresolved == (rollback_index_.low() != nullptr),
-                 "rollback index disagrees on unresolved dependencies");
-  OCSP_CHECK_MSG(!any_unresolved || *rollback_index_.low() == low,
-                 "rollback index disagrees on the earliest rollback point");
   std::set<std::uint32_t> indexed;
   for (const auto& [thread, pairs] : rollback_index_.target_threads()) {
     indexed.insert(thread);
   }
+  OCSP_CHECK_MSG(any_unresolved == (rollback_index_.low() != nullptr),
+                 "rollback index disagrees on unresolved dependencies");
+  OCSP_CHECK_MSG(!any_unresolved || *rollback_index_.low() == low,
+                 "rollback index disagrees on the earliest rollback point");
   OCSP_CHECK_MSG(indexed == targets, "rollback index disagrees on targets");
   OCSP_CHECK_MSG(message == awaiting_message_ && join == join_waiting_ &&
                      done == done_waiting_,
@@ -539,6 +664,27 @@ void SpeculativeProcess::verify_bookkeeping() const {
   }
   for (const auto& [seq, entry] : input_log_) {
     OCSP_CHECK_MSG(!prunable(entry.at), "GC left a prunable logged input");
+  }
+}
+
+void SpeculativeProcess::verify_lazy_tables() const {
+  // Every live thread, every call; a node forks and checkpoints share is
+  // checked once per call.
+  Cdg::Checked cdg_nodes;
+  RollbackMap::Checked rollback_nodes;
+  for (auto it = live_begin(); it != threads_.end(); ++it) {
+    it->second.cdg.verify_lazy(scrubs_, cdg_nodes);
+    it->second.rollbacks.verify_lazy(scrubs_, rollback_nodes);
+  }
+}
+
+void SpeculativeProcess::verify_join_wakeups() const {
+  for (const std::uint32_t idx : join_waiting_) {
+    const ThreadCtx& t = threads_.at(idx);
+    const bool can_move = t.join_guess_aborted
+                              ? threads_.count(t.join_right_index) == 0
+                              : t.guard.empty();
+    OCSP_CHECK_MSG(!can_move, "JoinWait thread left without a wake-up");
   }
 }
 

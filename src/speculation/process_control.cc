@@ -1,9 +1,11 @@
 // Control-message processing and rollback (sections 4.1.3, 4.2.5-4.2.8).
 //
 // COMMIT removes a guess (and its implied-committed CDG predecessors) from
-// every thread; ABORT computes the Abortset per thread, finds the earliest
-// rollback point, kills every thread created after it, restores the target
-// thread from its checkpoint, cascades ABORTs for our own guesses that died,
+// every thread: from the guards that hold it, and from every CDG and
+// rollback map at once by recording the scrub (scrub_log.h).  ABORT
+// computes the Abortset per thread, finds the earliest rollback point,
+// kills every thread created after it, restores the target thread from
+// its checkpoint, cascades ABORTs for our own guesses that died,
 // and requeues the non-orphan input messages that were consumed after the
 // restore point (Figure 5: "Z must re-read message C2 after rolling back").
 // PRECEDENCE adds CDG edges and aborts our own guesses on any cycle (time
@@ -86,37 +88,27 @@ void SpeculativeProcess::commit_guess_local(const GuessId& g) {
     GuessId h = queue.back();
     queue.pop_back();
     // Already-committed guesses are processed again: that still scrubs any
-    // lingering CDG/guard entry.
+    // CDG/guard entry written since the last time.
     set_guess_status(h, GuessStatus::kCommitted);
-    // Only threads that may hold h have anything to scrub.
-    for (const std::uint32_t idx : take_holders(h)) {
+    // Predecessors of a committed guess must have committed too: a guess
+    // only commits after everything in its guard resolved.  Only threads
+    // holding an edge at h can name one.
+    for (const std::uint32_t idx : take_holders(edge_holders_, h)) {
       ++work_.bookkeeping_steps;
       auto it = threads_.find(idx);
       if (it == threads_.end()) continue;
-      ThreadCtx& t = it->second;
-      if (t.cdg.has_node(h)) {
-        // Predecessors of a committed guess must have committed too: a
-        // guess only commits after everything in its guard resolved.
-        for (const auto& p : t.cdg.predecessors(h)) {
-          if (history_.status(p) != GuessStatus::kCommitted) queue.push_back(p);
-        }
-        t.cdg.remove_node(h);
+      for (const auto& p : it->second.cdg.predecessors(h, scrubs_)) {
+        if (history_.status(p) != GuessStatus::kCommitted) queue.push_back(p);
       }
-      t.guard.erase(h);
-      t.rollbacks.erase(h);
     }
-  }
-}
-
-void SpeculativeProcess::scrub_holders(const GuessId& g) {
-  // Keep only the threads that still hold g.
-  for (const std::uint32_t idx : take_holders(g)) {
-    ++work_.bookkeeping_steps;
-    auto th = threads_.find(idx);
-    if (th != threads_.end() &&
-        (th->second.guard.contains(g) || th->second.cdg.has_node(g) ||
-         th->second.rollbacks.count(g) > 0)) {
-      holders_[g].push_back(idx);
+    // h leaves every live CDG and rollback map at once...
+    scrubs_.commit(h);
+    // ...and every guard holding it.
+    for (const std::uint32_t idx : take_holders(guard_holders_, h)) {
+      ++work_.bookkeeping_steps;
+      ThreadCtx& t = threads_.at(idx);
+      t.guard.erase(h);
+      if (t.phase == ThreadCtx::Phase::kJoinWait) wake_join(idx);
     }
   }
 }
@@ -147,16 +139,9 @@ void SpeculativeProcess::abort_guess_local(const GuessId& g) {
                      g.to_string()});
 
   rollback_aborted_dependencies();
-  // Scrub CDG nodes of the aborted guess from untouched threads.
-  if (auto held = holders_.find(g); held != holders_.end()) {
-    for (const std::uint32_t idx : held->second) {
-      ++work_.bookkeeping_steps;
-      if (auto it = threads_.find(idx); it != threads_.end()) {
-        it->second.cdg.remove_node(g);
-      }
-    }
-    scrub_holders(g);
-  }
+  // Scrub the aborted guess's CDG node from the untouched threads.
+  scrubs_.abort(g);
+  edge_holders_.erase(g);
   rollback_cause_ = saved_cause;
 }
 
@@ -179,14 +164,14 @@ void SpeculativeProcess::rollback_aborted_dependencies() {
       // one-guess-per-owner subsumption (4.1.5) may have replaced an
       // earlier aborted guess, but the state became contaminated at the
       // earlier acquisition point.
-      for (const auto& [a, rb] : t.rollbacks) {
+      t.rollbacks.for_each(scrubs_, [&](const GuessId& a, const StateIndex&) {
         if (history_.status(a) == GuessStatus::kAborted) {
           abortset.push_back(a);
         }
-      }
+      });
       // Followers of aborted guesses in the CDG also roll back.
       for (std::size_t i = 0; i < abortset.size(); ++i) {
-        for (const auto& f : t.cdg.closure_from(abortset[i])) {
+        for (const auto& f : t.cdg.closure_from(abortset[i], scrubs_)) {
           if (t.guard.contains(f) &&
               std::find(abortset.begin(), abortset.end(), f) ==
                   abortset.end()) {
@@ -195,12 +180,11 @@ void SpeculativeProcess::rollback_aborted_dependencies() {
         }
       }
       for (const auto& a : abortset) {
-        auto rb = t.rollbacks.find(a);
-        OCSP_CHECK_MSG(rb != t.rollbacks.end(),
-                       "guard member without rollback");
-        if (!found || rb->second < target) {
+        const StateIndex* rb = t.rollbacks.find(a, scrubs_);
+        OCSP_CHECK_MSG(rb != nullptr, "guard member without rollback");
+        if (!found || *rb < target) {
           found = true;
-          target = rb->second;
+          target = *rb;
         }
       }
     }
@@ -503,7 +487,7 @@ void SpeculativeProcess::rollback_to(const StateIndex& target,
 ThreadCtx SpeculativeProcess::rebuild_by_replay(const StateIndex& base,
                                                 const StateIndex& target) {
   ++stats_.replays;
-  ThreadCtx t = checkpoints_.at(base);
+  ThreadCtx t = thaw_checkpoint(checkpoints_.at(base));
   stats_.rollback_restore_bytes += restore_cost_bytes(t.machine);
   if (config_.state == StateStrategy::kDeepCopy) {
     t.machine.deep_copy_state();
@@ -625,8 +609,8 @@ void SpeculativeProcess::replay_feed(ThreadCtx& t, const LoggedInput& entry) {
     // dependencies.
     if (history_.status(g) == GuessStatus::kCommitted) continue;
     t.guard.add(g);
-    t.cdg.add_node(g);
-    t.rollbacks[g] = entry.pre;
+    t.cdg.add_node(g, scrubs_);
+    t.rollbacks.assign(g, entry.pre, scrubs_);
   }
   t.interval = entry.at.interval;
 
@@ -661,7 +645,7 @@ void SpeculativeProcess::restore_thread(const StateIndex& target) {
   ThreadCtx restored;
   auto cp = checkpoints_.find(target);
   if (cp != checkpoints_.end()) {
-    restored = cp->second;  // copy: the checkpoint stays usable
+    restored = thaw_checkpoint(cp->second);  // the checkpoint stays usable
     stats_.rollback_restore_bytes += restore_cost_bytes(restored.machine);
     if (config_.state == StateStrategy::kDeepCopy) {
       restored.machine.deep_copy_state();
@@ -709,9 +693,11 @@ void SpeculativeProcess::restore_thread(const StateIndex& target) {
   }
   for (const auto& g : committed_since) {
     restored.guard.erase(g);
-    restored.cdg.remove_node(g);
+    restored.cdg.remove_node(g, scrubs_);
     restored.rollbacks.erase(g);
   }
+  // (Committed non-guard entries stay, as they would in a copy of the
+  // checkpoint: the next scrub of their guess removes them.)
 
   switch (restored.phase) {
     case ThreadCtx::Phase::kRunning:
@@ -756,12 +742,16 @@ void SpeculativeProcess::on_precedence_msg(const GuessId& subject,
     const std::uint32_t idx = it->first;
     ThreadCtx& t = it->second;
     ++work_.bookkeeping_steps;
+    // Once an edge into `subject` is added, the node is there for the
+    // remaining guard members.
+    bool has_subject = t.cdg.has_node(subject, scrubs_);
     for (const auto& h : guard) {
-      if (!t.cdg.has_node(h) && !t.cdg.has_node(subject)) continue;
-      if (t.cdg.has_edge(h, subject)) continue;
-      std::vector<GuessId> cycle = t.cdg.add_edge(h, subject);
-      note_holder(h, idx);
-      note_holder(subject, idx);
+      if (!has_subject && !t.cdg.has_node(h, scrubs_)) continue;
+      if (t.cdg.has_edge(h, subject, scrubs_)) continue;
+      std::vector<GuessId> cycle = t.cdg.add_edge(h, subject, scrubs_);
+      has_subject = true;
+      note_edge_holder(h, idx);
+      note_edge_holder(subject, idx);
       {
         obs::Event ev = make_event(obs::EventKind::kCdgEdgeAdded);
         ev.thread = idx;
@@ -800,27 +790,25 @@ void SpeculativeProcess::on_precedence_msg(const GuessId& subject,
 
 void SpeculativeProcess::after_guard_change() {
   advance_retired();
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    for (const std::uint32_t idx : join_waiting_) {
-      ++work_.bookkeeping_steps;
-      ThreadCtx& t = threads_.at(idx);
-      if (t.join_guess_aborted) {
-        if (threads_.count(t.join_right_index) == 0) {
-          reexecute_right(t);
-          progressed = true;
-          break;
-        }
-        continue;
-      }
-      if (t.guard.empty()) {
-        finalize_join_commit(t);
-        progressed = true;
-        break;
-      }
+  // The lowest JoinWait thread that can move goes first, as a scan of
+  // every JoinWait thread would find it: a thread can only become able to
+  // move through a wake-up (its guard shrank, its right thread died, it
+  // entered JoinWait), so the lowest woken thread that can move is it.
+  while (!join_wakeups_.empty()) {
+    const std::uint32_t idx = *join_wakeups_.begin();
+    join_wakeups_.erase(join_wakeups_.begin());
+    ++work_.bookkeeping_steps;
+    if (join_waiting_.count(idx) == 0) continue;
+    ThreadCtx& t = threads_.at(idx);
+    if (t.join_guess_aborted) {
+      if (threads_.count(t.join_right_index) == 0) reexecute_right(t);
+    } else if (t.guard.empty()) {
+      finalize_join_commit(t);
     }
   }
+#ifndef NDEBUG
+  verify_join_wakeups();
+#endif
   flush_logs();
   gc_resolved_state();
   check_completion();

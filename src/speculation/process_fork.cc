@@ -230,9 +230,9 @@ void SpeculativeProcess::do_fork(ThreadCtx& t, const csp::ForkStmt& f) {
   r.guard = t.guard;
   r.guard.add(guess);
   r.cdg = t.cdg;
-  r.cdg.add_node(guess);
+  r.cdg.add_node(guess, scrubs_);
   r.rollbacks = t.rollbacks;
-  r.rollbacks[guess] = StateIndex{incarnation_, new_index, 0};
+  r.rollbacks.assign(guess, StateIndex{incarnation_, new_index, 0}, scrubs_);
   r.has_own_guess = true;
   r.own_guess = guess;
   r.own_site = f.site;
@@ -271,7 +271,7 @@ void SpeculativeProcess::do_fork(ThreadCtx& t, const csp::ForkStmt& f) {
   ThreadCtx& right = insert_thread(std::move(r));
   // The parent keeps every other pair the child copied; only the child's
   // own guess is new to the rollback index.
-  rollback_index_.add(guess, right.rollbacks.at(guess));
+  rollback_index_.add(guess, *right.rollbacks.find(guess, scrubs_));
   obs::speculation_depth_hist(live_metrics_)
       .add(static_cast<double>(right.guard.size()));
   take_checkpoint(right);
@@ -504,10 +504,10 @@ void SpeculativeProcess::reexecute_right(ThreadCtx& left) {
   for (const auto& g : left.guard) {
     if (history_.status(g) == GuessStatus::kUnknown) {
       r.guard.add(g);
-      auto rb = left.rollbacks.find(g);
-      OCSP_CHECK_MSG(rb != left.rollbacks.end(), "guard without rollback");
-      r.rollbacks[g] = rb->second;
-      r.cdg.add_node(g);
+      const StateIndex* rb = left.rollbacks.find(g, scrubs_);
+      OCSP_CHECK_MSG(rb != nullptr, "guard without rollback");
+      r.rollbacks.assign(g, *rb, scrubs_);
+      r.cdg.add_node(g, scrubs_);
     }
   }
   r.has_own_guess = false;

@@ -107,6 +107,23 @@ TEST(Bookkeeping, StepsPerEventFollowTheInDoubtWindow) {
       << short_run.steps_per_event << " -> " << long_run.steps_per_event;
 }
 
+TEST(Bookkeeping, StepsPerEventIndependentOfWindow) {
+  // The default putline client outruns its server, so the in-doubt window
+  // grows with the stream (see the test above).  Forks and checkpoints
+  // share their parent's dependency tables and commits scrub them lazily,
+  // so cost per event stays flat anyway.
+  core::PutLineParams short_params;
+  short_params.lines = 64;
+  core::PutLineParams long_params;
+  long_params.lines = 1024;
+  const Cost short_run = putline_cost(short_params, true);
+  const Cost long_run = putline_cost(long_params, true);
+  EXPECT_GT(short_run.steps_per_event, 0.0);
+  EXPECT_LE(long_run.steps_per_event, 2.0 * short_run.steps_per_event)
+      << "steps/event at 64 lines: " << short_run.steps_per_event
+      << ", at 1024 lines: " << long_run.steps_per_event;
+}
+
 TEST(Bookkeeping, PendingMessagesKeepTheirOrder) {
   // M is blocked in a slow call while three notes arrive; the notes wait
   // (nothing is receiving) and the call's return, queued behind them, is

@@ -50,8 +50,9 @@ TEST(FaultRng, LatencyDrawsUnperturbedByFaultHook) {
     netw.register_endpoint(1, [&](const net::Envelope& env) {
       first_delivery.emplace(env.id, sched.now());
     });
+    // The hook runs during sched.run(), so its counter lives as long.
+    int n = 0;
     if (faults) {
-      int n = 0;
       netw.set_fault_hook([&n](const net::Envelope&, util::Rng& rng) {
         net::FaultDecision d;
         ++n;

@@ -1,6 +1,6 @@
 // State garbage collection: a long-running server's retained speculative
-// state (checkpoints, replay metadata, input log) must be bounded by the
-// window of in-doubt guesses, not by the length of the run.
+// state (checkpoints, replay metadata, input log, scrub log) must be
+// bounded by the window of in-doubt guesses, not by the length of the run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -87,6 +87,7 @@ struct Peaks {
   std::size_t checkpoints = 0;
   std::size_t input_log = 0;
   std::size_t pending = 0;
+  std::size_t scrub_log = 0;
 };
 
 Peaks run_sampled(spec::Runtime& rt) {
@@ -101,6 +102,7 @@ Peaks run_sampled(spec::Runtime& rt) {
       peaks.checkpoints = std::max(peaks.checkpoints, proc.checkpoint_count());
       peaks.input_log = std::max(peaks.input_log, proc.input_log_size());
       peaks.pending = std::max(peaks.pending, proc.pending_message_count());
+      peaks.scrub_log = std::max(peaks.scrub_log, proc.scrub_log_size());
     }
   }
   rt.run();
@@ -133,6 +135,11 @@ TEST(Gc, LongRunStateStaysBounded) {
   EXPECT_LE(long_peaks.checkpoints, short_peaks.checkpoints + kSlack);
   EXPECT_LE(long_peaks.input_log, short_peaks.input_log + kSlack);
   EXPECT_LE(long_peaks.pending, short_peaks.pending + kSlack);
+  // The scrub log is pruned once it has doubled (plus a slack), so its
+  // peak stays within twice the shorter run's; unpruned, it would grow
+  // tenfold with the run.
+  EXPECT_LE(long_peaks.scrub_log, 2 * short_peaks.scrub_log + kSlack)
+      << "short=" << short_peaks.scrub_log << " long=" << long_peaks.scrub_log;
 
   const auto pess = baseline::run_scenario(scenario, false);
   std::string why;

@@ -34,10 +34,13 @@ baseline::RunResult run_fig5(bool speculation = true) {
                                 speculation);
 }
 
-baseline::RunResult run_safe_fanout() {
+/// `fast_path` turns the SAFE-site soundness oracle off, which Debug
+/// builds turn on by default, so the SAFE forks take the elided path.
+baseline::RunResult run_safe_fanout(bool fast_path = false) {
   core::SafeFanoutParams p;
   p.servers = 4;
   p.net.latency = sim::microseconds(300);
+  if (fast_path) p.spec.safe_site_oracle = false;
   return baseline::run_scenario(core::safe_fanout_scenario(p), true);
 }
 
@@ -177,7 +180,7 @@ TEST(Attribution, WastedTimeMatchesProfileWastedCategory) {
 }
 
 TEST(Attribution, SafeElidedSitesScoreAsZeroCostProfit) {
-  const auto result = run_safe_fanout();
+  const auto result = run_safe_fanout(/*fast_path=*/true);
   ASSERT_TRUE(result.recorder);
   const auto report =
       obs::build_attribution(*result.recorder, result.process_names);

@@ -1,7 +1,8 @@
 // Unit tests for the protocol data structures: guesses, commit guard sets
 // (section 4.1.5 subsumption), commit histories with incarnation start
-// tables (section 4.1.2 implicit aborts), and the commit dependency graph
-// (section 4.1.4 cycle detection).
+// tables (section 4.1.2 implicit aborts), the commit dependency graph
+// (section 4.1.4 cycle detection), and the lazy scrubbing of CDGs and
+// rollback maps through a ScrubLog.
 #include <gtest/gtest.h>
 
 #include "speculation/cdg.h"
@@ -9,6 +10,8 @@
 #include "speculation/history.h"
 #include "speculation/messages.h"
 #include "speculation/predictor.h"
+#include "speculation/rollback_map.h"
+#include "speculation/scrub_log.h"
 
 namespace ocsp::spec {
 namespace {
@@ -245,6 +248,157 @@ TEST(Cdg, PredecessorsAndClosure) {
 TEST(Cdg, ClosureOfMissingNodeIsEmpty) {
   Cdg cdg;
   EXPECT_TRUE(cdg.closure_from(g(9, 0, 1)).empty());
+}
+
+// ---- Lazy scrubbing ------------------------------------------------------
+
+TEST(LazyCdg, ScrubHidesTheGuessInEveryCopy) {
+  ScrubLog log;
+  Cdg parent;
+  parent.add_edge(g(0, 0, 1), g(1, 0, 1), log);
+  Cdg child = parent;  // a fork: shares the tables
+  child.add_node(g(0, 0, 2), log);
+  log.commit(g(0, 0, 1));
+  for (const Cdg* c : {&parent, &child}) {
+    EXPECT_FALSE(c->has_node(g(0, 0, 1), log));
+    EXPECT_FALSE(c->has_edge(g(0, 0, 1), g(1, 0, 1), log));
+    EXPECT_TRUE(c->predecessors(g(1, 0, 1), log).empty());
+    EXPECT_TRUE(c->has_node(g(1, 0, 1), log));
+  }
+  EXPECT_TRUE(child.has_node(g(0, 0, 2), log));
+  EXPECT_FALSE(parent.has_node(g(0, 0, 2), log));
+  Cdg::Checked checked;
+  for (const Cdg* c : {&parent, &child}) c->verify_lazy(log, checked);
+}
+
+TEST(LazyCdg, EdgeReAddingAScrubbedNodeIsVisibleAndClosesACycle) {
+  // A PRECEDENCE edge may name a guess this graph already scrubbed: eager
+  // removal re-creates the node, and so must the lazy view.
+  ScrubLog log;
+  Cdg cdg;
+  cdg.add_edge(g(0, 0, 1), g(1, 0, 1), log);
+  log.commit(g(0, 0, 1));
+  EXPECT_FALSE(cdg.has_node(g(0, 0, 1), log));
+  EXPECT_TRUE(cdg.add_edge(g(1, 0, 1), g(0, 0, 1), log).empty());
+  EXPECT_TRUE(cdg.has_node(g(0, 0, 1), log));
+  // The old edge 0 -> 1 stays scrubbed; a new one closes a cycle.
+  EXPECT_FALSE(cdg.has_edge(g(0, 0, 1), g(1, 0, 1), log));
+  const auto cycle = cdg.add_edge(g(0, 0, 1), g(1, 0, 1), log);
+  EXPECT_EQ(cycle.size(), 2u);
+  Cdg::Checked checked;
+  cdg.verify_lazy(log, checked);
+  // A second scrub removes the re-added node again.
+  log.commit(g(0, 0, 1));
+  EXPECT_FALSE(cdg.has_node(g(0, 0, 1), log));
+  EXPECT_EQ(cdg.node_count(log), 1u);
+  Cdg::Checked rechecked;
+  cdg.verify_lazy(log, rechecked);
+}
+
+TEST(LazyCdg, ThawKeepsWhatTheCheckpointHeld) {
+  ScrubLog log;
+  Cdg live;
+  live.add_edge(g(0, 0, 1), g(1, 0, 1), log);
+  live.add_node(g(2, 0, 1), log);
+  log.commit(g(2, 0, 1));  // before the checkpoint: gone from it too
+  const Cdg checkpoint = live;
+  const std::uint64_t at = log.now();
+  log.commit(g(0, 0, 1));  // after: the checkpoint still holds it
+  EXPECT_FALSE(live.has_node(g(0, 0, 1), log));
+  const Cdg restored = checkpoint.thawed(log, at);
+  EXPECT_TRUE(restored.has_node(g(0, 0, 1), log));
+  EXPECT_TRUE(restored.has_edge(g(0, 0, 1), g(1, 0, 1), log));
+  EXPECT_FALSE(restored.has_node(g(2, 0, 1), log));
+  Cdg::Checked checked;
+  restored.verify_lazy(log, checked);
+  // The restored copy is live again: the next scrub applies to it.
+  log.commit(g(0, 0, 1));
+  EXPECT_FALSE(restored.has_node(g(0, 0, 1), log));
+}
+
+TEST(LazyCdg, AbortScrubHidesNodesNotRollbacks) {
+  ScrubLog log;
+  Cdg cdg;
+  RollbackMap rb;
+  cdg.add_node(g(0, 0, 1), log);
+  rb.assign(g(0, 0, 1), StateIndex{0, 0, 3}, log);
+  log.abort(g(0, 0, 1));
+  EXPECT_FALSE(cdg.has_node(g(0, 0, 1), log));
+  ASSERT_NE(rb.find(g(0, 0, 1), log), nullptr);
+  EXPECT_EQ(*rb.find(g(0, 0, 1), log), (StateIndex{0, 0, 3}));
+  log.commit(g(0, 0, 1));
+  EXPECT_EQ(rb.find(g(0, 0, 1), log), nullptr);
+  EXPECT_TRUE(rb.empty(log));
+}
+
+TEST(LazyRollbackMap, EmptyOnceEveryEntryIsScrubbed) {
+  ScrubLog log;
+  RollbackMap m;
+  for (std::uint32_t i = 1; i <= 200; ++i) {
+    m.assign(g(0, 0, i), StateIndex{0, i, 0}, log);
+  }
+  const RollbackMap copy = m;
+  for (std::uint32_t i = 1; i <= 199; ++i) log.commit(g(0, 0, i));
+  EXPECT_FALSE(m.empty(log));
+  std::vector<GuessId> left;
+  copy.for_each(log, [&](const GuessId& h, const StateIndex&) {
+    left.push_back(h);
+  });
+  EXPECT_EQ(left, std::vector<GuessId>{g(0, 0, 200)});
+  log.commit(g(0, 0, 200));
+  EXPECT_TRUE(m.empty(log));
+  EXPECT_TRUE(copy.empty(log));
+  // Writes compact: the scrubbed entries go once the table has doubled.
+  for (std::uint32_t i = 201; i <= 240; ++i) {
+    m.assign(g(0, 0, i), StateIndex{0, i, 0}, log);
+  }
+  RollbackMap::Checked checked;
+  m.verify_lazy(log, checked);
+  std::size_t n = 0;
+  m.for_each(log, [&](const GuessId&, const StateIndex&) { ++n; });
+  EXPECT_EQ(n, 40u);
+}
+
+TEST(ScrubLogPrune, ForgetsOnlyWhatNoTableCanAskAbout) {
+  ScrubLog log;
+  Cdg live;
+  live.add_edge(g(0, 0, 1), g(1, 0, 1), log);
+  live.add_node(g(2, 0, 1), log);
+  log.commit(g(0, 0, 1));  // before the checkpoint
+  const Cdg checkpoint = live;
+  const std::uint64_t at = log.now();
+  log.commit(g(1, 0, 1));  // after: the checkpoint still holds it
+  RollbackMap gone;
+  gone.assign(g(3, 0, 1), StateIndex{0, 3, 0}, log);
+  gone.clear();  // no table holds g(3, 0, 1) any more
+  log.commit(g(3, 0, 1));
+  const std::size_t before = log.size();
+
+  std::unordered_set<const void*> seen;
+  std::unordered_set<GuessId, GuessIdHash> held;
+  for (const Cdg* c : {static_cast<const Cdg*>(&live), &checkpoint}) {
+    c->for_each_stored_once(seen, [&](const GuessId& h) { held.insert(h); });
+  }
+  log.prune(held, at, seen.size());
+  EXPECT_LT(log.size(), before);
+  EXPECT_EQ(log.floor(), at);
+  EXPECT_FALSE(log.tracks(g(3, 0, 1)));
+  EXPECT_TRUE(log.tracks(g(0, 0, 1)));
+
+  // Live and restored views answer as before the prune.
+  EXPECT_FALSE(live.has_node(g(0, 0, 1), log));
+  EXPECT_FALSE(live.has_node(g(1, 0, 1), log));
+  EXPECT_TRUE(live.has_node(g(2, 0, 1), log));
+  const Cdg restored = checkpoint.thawed(log, at);
+  EXPECT_FALSE(restored.has_node(g(0, 0, 1), log));
+  EXPECT_TRUE(restored.has_node(g(1, 0, 1), log));
+  EXPECT_TRUE(restored.has_node(g(2, 0, 1), log));
+  // A forgotten guess written again is tracked afresh.
+  RollbackMap again;
+  again.assign(g(3, 0, 1), StateIndex{0, 4, 0}, log);
+  ASSERT_NE(again.find(g(3, 0, 1), log), nullptr);
+  log.commit(g(3, 0, 1));
+  EXPECT_EQ(again.find(g(3, 0, 1), log), nullptr);
 }
 
 // ---- Predictors ------------------------------------------------------------
